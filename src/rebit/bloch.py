@@ -64,7 +64,7 @@ def density_from_bloch(v: np.ndarray) -> np.ndarray:
     norm = math.hypot(v[0], v[1])
     if norm > 1.0 + STRUCT_TOL:
         raise InvalidStateError(f"Bloch vector norm {norm!r} exceeds 1")
-    return 0.5 * np.array([[1.0 + v[0], v[1]], [v[1], 1.0 - v[0]]])
+    return _assemble_density(v[0], v[1])
 
 
 def state_polar(r: float, theta: float) -> np.ndarray:
@@ -73,5 +73,9 @@ def state_polar(r: float, theta: float) -> np.ndarray:
         raise InvalidStateError("polar parameters must be finite")
     if not 0.0 <= r <= 1.0:
         raise InvalidStateError(f"radius {r!r} outside [0, 1]")
-    c, s = r * math.cos(theta), r * math.sin(theta)
-    return 0.5 * np.array([[1.0 + c, s], [s, 1.0 - c]])
+    return _assemble_density(r * math.cos(theta), r * math.sin(theta))
+
+
+def _assemble_density(v1: float, v2: float) -> np.ndarray:
+    """(I + v1 sigma_1 + v2 sigma_2) / 2, unchecked: each caller validates v its own way."""
+    return 0.5 * np.array([[1.0 + v1, v2], [v2, 1.0 - v1]])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import SIGMA_1, SIGMA_2, bloch_from_density
+from .bloch import SIGMA_1, SIGMA_2, _assemble_density, bloch_from_density
 
 UNITAL_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -75,12 +75,21 @@ class AffineChannel:
             raise ValueError("channel document requires fields 'A' and 'w'")
         if "name" in doc and not isinstance(doc["name"], str):
             raise ValueError("channel document field 'name' must be a string")
+        if not (_numbers_only(doc["A"]) and _numbers_only(doc["w"])):
+            raise ValueError("channel document entries must be numbers, not strings or booleans")
         try:
             a = np.array(doc["A"], dtype=float)
             w = np.array(doc["w"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"channel document entries are not numeric: {exc}") from None
         return cls(a, w)
+
+
+def _numbers_only(value) -> bool:
+    """True for a JSON number or nested list of them; numpy would also take booleans and "0.1"."""
+    if isinstance(value, list):
+        return all(map(_numbers_only, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ def apply(channel: AffineChannel, rho: np.ndarray) -> np.ndarray:
     norm = math.hypot(v[0], v[1])
     if norm > 1.0 + POSITIVITY_TOL:
         raise NotPositiveError(norm)
-    return 0.5 * np.array([[1.0 + v[0], v[1]], [v[1], 1.0 - v[0]]])
+    return _assemble_density(v[0], v[1])
 
 
 def compose(first: AffineChannel, second: AffineChannel) -> AffineChannel:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import decompose_channel
+from .canonical import CanonicalForm, decompose_channel
 from .channel import AffineChannel, is_unital
-from .cp import CP_TOL, CpReport, chi_matrix, diagonal_frame, is_cp, q_values
-from .linalg import TAU, eig_sym3, rotation_matrix
+from .cp import CpReport, chi_matrix, chi_rank, is_cp, q_values, shift_region_contains
+from .linalg import TAU, rotation_matrix
 
 CLASS_TOL = 1e-9
 
@@ -32,56 +32,44 @@ class NotCompletelyPositiveError(ValueError):
         super().__init__("channel is not completely positive")
 
 
-@dataclass(frozen=True)
-class Identity:
+class _Family:
     def to_json_dict(self) -> dict:
-        return {"class": "Identity", "params": {}}
+        return {"class": type(self).__name__, "params": dict(vars(self))}
 
 
 @dataclass(frozen=True)
-class PhaseFlip:
+class Identity(_Family):
+    pass
+
+
+@dataclass(frozen=True)
+class PhaseFlip(_Family):
     fixed_axis: str  # HORIZONTAL or VERTICAL
     p: float
 
-    def to_json_dict(self) -> dict:
-        return {"class": "PhaseFlip", "params": {"fixed_axis": self.fixed_axis, "p": self.p}}
-
 
 @dataclass(frozen=True)
-class Depolarizing:
+class Depolarizing(_Family):
     r: float
     reflect_1: bool
     reflect_2: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": "Depolarizing",
-            "params": {"r": self.r, "reflect_1": self.reflect_1, "reflect_2": self.reflect_2},
-        }
+
+@dataclass(frozen=True)
+class CompletelyDepolarizing(_Family):
+    pass
 
 
 @dataclass(frozen=True)
-class CompletelyDepolarizing:
-    def to_json_dict(self) -> dict:
-        return {"class": "CompletelyDepolarizing", "params": {}}
-
-
-@dataclass(frozen=True)
-class Linear:
+class Linear(_Family):
     axis: str  # direction of the image segment
     q: float
 
-    def to_json_dict(self) -> dict:
-        return {"class": "Linear", "params": {"axis": self.axis, "q": self.q}}
-
 
 @dataclass(frozen=True)
-class General:
+class General(_Family):
     rank: int
     unital: bool
-
-    def to_json_dict(self) -> dict:
-        return {"class": "General", "params": {"rank": self.rank, "unital": self.unital}}
 
 
 ChannelClass = Identity | PhaseFlip | Depolarizing | CompletelyDepolarizing | Linear | General
@@ -95,30 +83,34 @@ def kraus_rank(channel: AffineChannel) -> int:
     return report.kraus_rank
 
 
-def classify(channel: AffineChannel, tol: float = CLASS_TOL) -> ChannelClass:
+def classify(channel: AffineChannel) -> ChannelClass:
     """Match the channel against the named families, CP maps only."""
-    report = is_cp(channel)
+    return classify_report(channel, is_cp(channel))
+
+
+def classify_report(channel: AffineChannel, report: CpReport) -> ChannelClass:
+    """:func:`classify` with the channel's :func:`is_cp` report, whose frame and rank it reads."""
     if not report.is_cp:
         raise NotCompletelyPositiveError(report)
-    lam1, lam2, s1, s2 = diagonal_frame(channel)
-    if math.hypot(s1, s2) <= tol:
-        if abs(lam1 - 1.0) <= tol and abs(lam2 - 1.0) <= tol:
+    lam1, lam2, s1, s2 = report.frame
+    if math.hypot(s1, s2) <= CLASS_TOL:
+        if abs(lam1 - 1.0) <= CLASS_TOL and abs(lam2 - 1.0) <= CLASS_TOL:
             return Identity()
-        if abs(lam1) <= tol and abs(lam2) <= tol:
+        if abs(lam1) <= CLASS_TOL and abs(lam2) <= CLASS_TOL:
             return CompletelyDepolarizing()
-        if abs(abs(lam1) - abs(lam2)) <= tol:
+        if abs(abs(lam1) - abs(lam2)) <= CLASS_TOL:
             return Depolarizing(
                 r=0.5 * (abs(lam1) + abs(lam2)),
-                reflect_1=lam1 < -tol,
-                reflect_2=lam2 < -tol,
+                reflect_1=lam1 < -CLASS_TOL,
+                reflect_2=lam2 < -CLASS_TOL,
             )
-        if abs(lam1 - 1.0) <= tol:
+        if abs(lam1 - 1.0) <= CLASS_TOL:
             return PhaseFlip(fixed_axis=HORIZONTAL, p=1.0 - lam2)
-        if abs(lam2 - 1.0) <= tol:
+        if abs(lam2 - 1.0) <= CLASS_TOL:
             return PhaseFlip(fixed_axis=VERTICAL, p=1.0 - lam1)
-        if abs(lam2) <= tol:
+        if abs(lam2) <= CLASS_TOL:
             return Linear(axis=HORIZONTAL, q=lam1)
-        if abs(lam1) <= tol:
+        if abs(lam1) <= CLASS_TOL:
             return Linear(axis=VERTICAL, q=lam2)
     return General(rank=report.kraus_rank, unital=is_unital(channel))
 
@@ -143,6 +135,11 @@ class ImageEllipse:
             "tilt": self.tilt,
         }
 
+    @classmethod
+    def from_form(cls, channel: AffineChannel, form: CanonicalForm) -> "ImageEllipse":
+        """The channel's image ellipse, read off its canonical form."""
+        return cls(center=channel.w, semi_axes=(abs(form.lam1), abs(form.lam2)), tilt=form.theta1)
+
 
 def image_ellipse(channel: AffineChannel) -> ImageEllipse:
     """Ellipse swept by the images of the pure states.
@@ -151,12 +148,7 @@ def image_ellipse(channel: AffineChannel) -> ImageEllipse:
     part, tilt is the left canonical rotation angle.  Defined for non-CP
     maps too; containment in the disk then simply fails.
     """
-    form = decompose_channel(channel)
-    return ImageEllipse(
-        center=channel.w,
-        semi_axes=(abs(form.lam1), abs(form.lam2)),
-        tilt=form.theta1,
-    )
+    return ImageEllipse.from_form(channel, decompose_channel(channel))
 
 
 def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> float:
@@ -204,10 +196,9 @@ def _sample_diagonal_scales(rng: np.random.Generator) -> tuple[float, float]:
 def _sample_shift(rng: np.random.Generator, lam1: float, lam2: float) -> np.ndarray:
     a1, a2 = abs(lam1), abs(lam2)
     b1, b2 = max(0.0, 1.0 - a1), max(0.0, 1.0 - a2)
-    q0, q1, q2 = q_values(lam1, lam2)
     for _ in range(100_000):
         s = np.array([rng.uniform(-b1, b1), rng.uniform(-b2, b2)])
-        margin = 8.0 * q0 * q1 * q2 - s[0] * s[0] * (2.0 * q2) - s[1] * s[1] * (2.0 * q1)
+        _, margin = shift_region_contains(lam1, lam2, s[0], s[1])
         if margin >= 0.0 and ellipse_peak_norm(s, (a1, a2)) <= 1.0:
             return s
     return np.zeros(2)  # unreachable in practice; keeps the sampler total
@@ -241,5 +232,4 @@ def sample_cp_channels(rng: np.random.Generator, count: int, unital: bool = Fals
 
 def rank_at(lam1: float, lam2: float) -> int:
     """Kraus rank of the unital diagonal map at literal pentagon coordinates."""
-    eigs = eig_sym3(chi_matrix(lam1, lam2))
-    return sum(1 for e in eigs if e > CP_TOL)
+    return chi_rank(chi_matrix(lam1, lam2))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .canonical import decompose_channel, reconstruction_residual
 from .channel import AffineChannel
-from .classify import NotCompletelyPositiveError, classify, sample_cp_channels
+from .classify import classify_report, sample_cp_channels
 from .cp import is_cp
 from .render import disk_figure_svg, region_figure_svg
 from .verify import run_verify
@@ -29,36 +29,42 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _load_channel(path: str) -> AffineChannel:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return AffineChannel.from_json_dict(doc)
+def _channel_command(command):
+    """Load the channel file ``args.channel`` for ``command``; only load errors exit 1."""
+
+    def run(args) -> int:
+        try:
+            with open(args.channel, "r", encoding="utf-8") as handle:
+                channel = AffineChannel.from_json_dict(json.load(handle))
+        except (OSError, ValueError) as exc:
+            return _fail(str(exc))
+        return command(args, channel)
+
+    return run
 
 
 def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _write_file(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
-
-
-def cmd_check(args) -> int:
+def _write_file(path: str, content: str) -> int:
     try:
-        channel = _load_channel(args.channel)
-    except (OSError, ValueError) as exc:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    except OSError as exc:
         return _fail(str(exc))
+    return EXIT_OK
+
+
+@_channel_command
+def cmd_check(args, channel: AffineChannel) -> int:
     report = is_cp(channel)
     _print_json(report.to_json_dict())
     return EXIT_OK if report.is_cp else EXIT_NOT_CP
 
 
-def cmd_decompose(args) -> int:
-    try:
-        channel = _load_channel(args.channel)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+@_channel_command
+def cmd_decompose(args, channel: AffineChannel) -> int:
     form = decompose_channel(channel)
     doc = form.to_json_dict()
     doc["residual"] = reconstruction_residual(channel, form)
@@ -66,45 +72,31 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    try:
-        channel = _load_channel(args.channel)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        family = classify(channel)
-    except NotCompletelyPositiveError as exc:
-        _print_json(exc.report.to_json_dict())
+@_channel_command
+def cmd_classify(args, channel: AffineChannel) -> int:
+    report = is_cp(channel)
+    if not report.is_cp:
+        _print_json(report.to_json_dict())
         return EXIT_NOT_CP
-    doc = family.to_json_dict()
-    doc["kraus_rank"] = is_cp(channel).kraus_rank
+    doc = classify_report(channel, report).to_json_dict()
+    doc["kraus_rank"] = report.kraus_rank
     _print_json(doc)
     return EXIT_OK
 
 
-def cmd_image(args) -> int:
-    try:
-        channel = _load_channel(args.channel)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        _write_file(args.output, disk_figure_svg(channel))
-    except OSError as exc:
-        return _fail(str(exc))
-    return EXIT_OK
+@_channel_command
+def cmd_image(args, channel: AffineChannel) -> int:
+    return _write_file(args.output, disk_figure_svg(channel))
 
 
 def cmd_region(args) -> int:
-    try:
-        _write_file(args.output, region_figure_svg())
-    except OSError as exc:
-        return _fail(str(exc))
-    return EXIT_OK
+    return _write_file(args.output, region_figure_svg())
 
 
 def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    for channel in sample_cp_channels(rng, args.count, unital=args.unital):
+    for _ in range(args.count):  # one draw at a time keeps memory flat in --count
+        (channel,) = sample_cp_channels(rng, 1, unital=args.unital)
         print(json.dumps(channel.to_json_dict()))
     return EXIT_OK
 

@@ -16,9 +16,10 @@ form
     w1^2 (1-lam1+lam2) + w2^2 (1+lam1-lam2) <= 8 q0 q1 q2,
 
 which stays meaningful when any factor vanishes, unlike the divided ellipse
-form.  For diagonal channels the verdict is computed at the literal diagonal
-coefficients, which is the frame the rank taxonomy lives in; everything else
-is routed through the canonical factorization first.
+form.  It is written only here; :mod:`rebit.verify` checks it against the
+Jacobi eigenvalues of chi.  Diagonal channels are decided at their literal
+coefficients, the frame the rank taxonomy lives in; everything else is
+routed through the canonical factorization first.
 """
 
 import math
@@ -95,25 +96,34 @@ def charpoly_coeffs(lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) 
     ssum = lam1 + lam2
     a = 3.0 + ssum
     b = 3.0 - (w1 * w1 + w2 * w2) + 2.0 * ssum - ssum * ssum
-    det_chi = 0.125 * (
-        (1.0 - lam1 + lam2) * ((1.0 + lam1 + lam2) * (1.0 + lam1 - lam2) - w1 * w1)
-        - w2 * w2 * (1.0 + lam1 - lam2)
-    )
-    return a, b, det_chi
+    _, margin = shift_region_contains(lam1, lam2, w1, w2)
+    return a, b, margin / 8.0
 
 
-def shift_region_contains(
-    lam1: float, lam2: float, w1: float, w2: float, tol: float = CP_TOL
-) -> tuple[bool, float]:
+def shift_region_contains(lam1: float, lam2: float, w1: float, w2: float) -> tuple[bool, float]:
     """Determinant condition in multiplied-out form, with its slack.
 
-    margin = 8 q0 q1 q2 - w1^2 (1-lam1+lam2) - w2^2 (1+lam1-lam2); the shift
-    is admissible when the margin is nonnegative (within ``tol``).  Callers
-    must already have checked q0, q1, q2 >= 0.
+    margin = 8 q0 q1 q2 - w1^2 (1-lam1+lam2) - w2^2 (1+lam1-lam2), which is
+    8 det(chi); the shift is admissible when the margin is nonnegative
+    (within ``CP_TOL``).  Callers must already have checked q0, q1, q2 >= 0.
     """
     q0, q1, q2 = q_values(lam1, lam2)
     margin = 8.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q2) - w2 * w2 * (2.0 * q1)
-    return margin >= -tol, margin
+    return margin >= -CP_TOL, margin
+
+
+def closed_form_verdict(
+    lam1: float, lam2: float, w1: float, w2: float
+) -> tuple[bool, tuple[float, float, float], float]:
+    """Closed-form CP verdict at diagonal coefficients: (verdict, q, margin)."""
+    q = q_values(lam1, lam2)
+    contained, margin = shift_region_contains(lam1, lam2, w1, w2)
+    return min(q) >= -CP_TOL and contained, q, margin
+
+
+def chi_rank(chi: Sym3) -> int:
+    """Number of chi eigenvalues above ``CP_TOL``: the Kraus rank of a CP map."""
+    return sum(1 for e in eig_sym3(chi) if e > CP_TOL)
 
 
 @dataclass(frozen=True)
@@ -127,17 +137,12 @@ class CpReport:
     margin: float
     is_cp: bool
     kraus_rank: int
+    frame: tuple[float, float, float, float]  # (lam1, lam2, w1, w2) of diagonal_frame; not serialized
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": list(self.q),
-            "a": self.a,
-            "b": self.b,
-            "det_chi": self.det_chi,
-            "margin": self.margin,
-            "is_cp": self.is_cp,
-            "kraus_rank": self.kraus_rank,
-        }
+        doc = dict(vars(self), q=list(self.q))  # fields in declaration order
+        del doc["frame"]
+        return doc
 
 
 def diagonal_frame(channel: AffineChannel) -> tuple[float, float, float, float]:
@@ -155,16 +160,15 @@ def diagonal_frame(channel: AffineChannel) -> tuple[float, float, float, float]:
     return form.lam1, form.lam2, float(form.shift[0]), float(form.shift[1])
 
 
-def is_cp(channel: AffineChannel, tol: float = CP_TOL) -> CpReport:
+def is_cp(channel: AffineChannel) -> CpReport:
     """Decide complete positivity and assemble the full report."""
-    lam1, lam2, w1, w2 = diagonal_frame(channel)
-    q = q_values(lam1, lam2)
-    _, margin = shift_region_contains(lam1, lam2, w1, w2, tol)
-    a, b, det_chi = charpoly_coeffs(lam1, lam2, w1, w2)
-    verdict = min(q) >= -tol and margin >= -tol
-    eigs = eig_sym3(chi_matrix(lam1, lam2, w1, w2))
-    rank = sum(1 for e in eigs if e > tol)
-    return CpReport(q=q, a=a, b=b, det_chi=det_chi, margin=margin, is_cp=verdict, kraus_rank=rank)
+    frame = diagonal_frame(channel)
+    verdict, q, margin = closed_form_verdict(*frame)
+    a, b, det_chi = charpoly_coeffs(*frame)
+    rank = chi_rank(chi_matrix(*frame))
+    return CpReport(
+        q=q, a=a, b=b, det_chi=det_chi, margin=margin, is_cp=verdict, kraus_rank=rank, frame=frame
+    )
 
 
 def admissible_pentagon() -> list[tuple[float, float]]:

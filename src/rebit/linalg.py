@@ -11,6 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TAU = 2.0 * math.pi
+MATRIX_TOL = 1e-12  # orthogonality / symmetry slack of the from_matrix constructors
+JACOBI_TOL = 1e-14  # off-diagonal size at which the Jacobi sweeps stop
+JACOBI_MAX_SWEEPS = 100
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -37,9 +40,9 @@ class Rotation2:
         return rotation_matrix(self.angle)
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = 1e-12) -> "Rotation2":
+    def from_matrix(cls, m: np.ndarray) -> "Rotation2":
         m = np.asarray(m, dtype=float)
-        if np.abs(m.T @ m - np.eye(2)).max() > tol or abs(_det2(m) - 1.0) > tol:
+        if np.abs(m.T @ m - np.eye(2)).max() > MATRIX_TOL or abs(_det2(m) - 1.0) > MATRIX_TOL:
             raise ValueError("matrix is not a rotation (orthogonal with det 1)")
         return cls(math.atan2(m[1, 0], m[0, 0]))
 
@@ -71,11 +74,11 @@ class Sym3:
         )
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = 1e-12) -> "Sym3":
+    def from_matrix(cls, m: np.ndarray) -> "Sym3":
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if np.abs(m - m.T).max() > tol:
+        if np.abs(m - m.T).max() > MATRIX_TOL:
             raise ValueError("matrix is not symmetric")
         return cls(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
 
@@ -142,17 +145,18 @@ def _jacobi_cs(app: float, aqq: float, apq: float) -> tuple[float, float, float]
     return c, t * c, t
 
 
-def eig_sym3(m: Sym3, tol: float = 1e-14, max_sweeps: int = 100) -> tuple[float, float, float]:
+def eig_sym3(m: Sym3) -> tuple[float, float, float]:
     """Eigenvalues of a symmetric 3x3 matrix, sorted descending.
 
     Cyclic Jacobi rotations until the largest off-diagonal entry drops below
-    ``tol`` or ``max_sweeps`` sweeps have run.  Each rotation annihilates one
-    off-diagonal entry exactly, so the iteration is unconditionally stable.
+    ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps have run.  Each rotation
+    annihilates one off-diagonal entry exactly, so the iteration is
+    unconditionally stable.
     """
     a00, a01, a02 = m.d00, m.d01, m.d02
     a11, a12, a22 = m.d11, m.d12, m.d22
-    for _ in range(max_sweeps):
-        if max(abs(a01), abs(a02), abs(a12)) < tol:
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if max(abs(a01), abs(a02), abs(a12)) < JACOBI_TOL:
             break
         if a01 != 0.0:
             c, s, t = _jacobi_cs(a00, a11, a01)

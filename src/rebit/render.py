@@ -10,7 +10,7 @@ import math
 
 from .canonical import decompose_channel
 from .channel import AffineChannel
-from .classify import image_ellipse
+from .classify import ImageEllipse
 from .cp import admissible_pentagon
 
 VIEW = 512
@@ -54,6 +54,11 @@ def _header(title: str) -> list[str]:
     ]
 
 
+def _line(cls: str, start: tuple[float, float], end: tuple[float, float]) -> str:
+    (x0, y0), (x1, y1) = start, end
+    return f'  <line class="{cls}" x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>'
+
+
 def _legend(lines: list[str]) -> list[str]:
     out = []
     y = 24
@@ -66,14 +71,10 @@ def _legend(lines: list[str]) -> list[str]:
 def disk_figure_svg(channel: AffineChannel) -> str:
     """Bloch disk with axes, boundary markers and the channel's image ellipse."""
     form = decompose_channel(channel)
-    ellipse = image_ellipse(channel)
+    ellipse = ImageEllipse.from_form(channel, form)
     parts = _header("Bloch disk image")
-    x0, y0 = _px(-1.1, 0.0)
-    x1, y1 = _px(1.1, 0.0)
-    parts.append(f'  <line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>')
-    x0, y0 = _px(0.0, -1.1)
-    x1, y1 = _px(0.0, 1.1)
-    parts.append(f'  <line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>')
+    parts.append(_line("axis", _px(-1.1, 0.0), _px(1.1, 0.0)))
+    parts.append(_line("axis", _px(0.0, -1.1), _px(0.0, 1.1)))
     parts.append(f'  <circle class="disk" cx="{CX}" cy="{CY}" r="{_fmt(DISK_R)}"/>')
     for index, phi in enumerate((0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)):
         mx, my = _px(math.cos(phi), math.sin(phi))
@@ -85,11 +86,8 @@ def disk_figure_svg(channel: AffineChannel) -> str:
     elif a2 <= DEGENERATE_AXIS:
         dx = a1 * math.cos(ellipse.tilt)
         dy = a1 * math.sin(ellipse.tilt)
-        x0, y0 = _px(ellipse.center[0] - dx, ellipse.center[1] - dy)
-        x1, y1 = _px(ellipse.center[0] + dx, ellipse.center[1] + dy)
-        parts.append(
-            f'  <line class="image" x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>'
-        )
+        c1, c2 = ellipse.center
+        parts.append(_line("image", _px(c1 - dx, c2 - dy), _px(c1 + dx, c2 + dy)))
     else:
         tilt_deg = -math.degrees(ellipse.tilt)  # screen y points down
         parts.append(
@@ -114,12 +112,8 @@ def region_figure_svg() -> str:
     """The admissibility pentagon in the scale-coefficient square [-1, 1]^2."""
     scale = 180.0
     parts = _header("Admissibility region")
-    x0, y0 = _px(-1.2, 0.0, scale)
-    x1, y1 = _px(1.2, 0.0, scale)
-    parts.append(f'  <line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>')
-    x0, y0 = _px(0.0, -1.2, scale)
-    x1, y1 = _px(0.0, 1.2, scale)
-    parts.append(f'  <line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>')
+    parts.append(_line("axis", _px(-1.2, 0.0, scale), _px(1.2, 0.0, scale)))
+    parts.append(_line("axis", _px(0.0, -1.2, scale), _px(0.0, 1.2, scale)))
     vertices = admissible_pentagon()
     points = " ".join(
         f"{_fmt(px)},{_fmt(py)}" for px, py in (_px(vx, vy, scale) for vx, vy in vertices)

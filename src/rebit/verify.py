@@ -10,29 +10,27 @@ orthogonal double-angle law) are spot checked.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bloch import density_from_bloch
 from .canonical import decompose_channel, reconstruction_residual
 from .channel import AffineChannel, rotation_channel
-from .cp import charpoly_coeffs, chi_matrix, q_values
+from .cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict
 from .linalg import eig_sym3, rotation_matrix
 
-CP_EPS = 1e-9
 BOUNDARY_BAND = 1e-7
-
-
-def _closed_form_cp(lam1: float, lam2: float, w1: float, w2: float) -> tuple[bool, float, float]:
-    q0, q1, q2 = q_values(lam1, lam2)
-    margin = 8.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q2) - w2 * w2 * (2.0 * q1)
-    ok = q0 >= -CP_EPS and q1 >= -CP_EPS and q2 >= -CP_EPS and margin >= -CP_EPS
-    return ok, margin, min(abs(q0), abs(q1), abs(q2))
+# A grid point costs about 10 us and a random point about 35 us of scalar
+# Python, and the random sweep draws all its points at once, 32 bytes each.
+# These limits keep each sweep under about a minute and that draw under
+# 32 MB, whatever sizes the command line asks for.
+MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
+MAX_SAMPLES = 1_000_000
 
 
 def _oracle_cp(lam1: float, lam2: float, w1: float, w2: float) -> bool:
-    return eig_sym3(chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_EPS
+    return eig_sym3(chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_TOL
 
 
 def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
@@ -41,14 +39,14 @@ def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
     Returns (points, mismatches); the chi matrix is diagonal here, so the
     comparison is exact and no boundary exclusions apply.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"grid step must be in (0, 1], got {step!r}")
+    if not MIN_GRID_STEP <= step <= 1.0:
+        raise ValueError(f"grid step must be in [{MIN_GRID_STEP:g}, 1], got {step!r}")
     n = round(2.0 / step) + 1
     axis = np.linspace(-1.0, 1.0, n)
     mismatches = 0
     for lam1 in axis:
         for lam2 in axis:
-            closed, _, _ = _closed_form_cp(lam1, lam2, 0.0, 0.0)
+            closed, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0)
             if closed != _oracle_cp(lam1, lam2, 0.0, 0.0):
                 mismatches += 1
     return n * n, mismatches
@@ -68,13 +66,13 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
     params = rng.uniform(-1.0, 1.0, (samples, 4))
     mismatches = excluded = b_violations = 0
     for lam1, lam2, w1, w2 in params:
-        closed, margin, min_q = _closed_form_cp(lam1, lam2, w1, w2)
+        closed, q, margin = closed_form_verdict(lam1, lam2, w1, w2)
         if closed:
             _, b, _ = charpoly_coeffs(lam1, lam2, w1, w2)
-            if b < -CP_EPS:
+            if b < -CP_TOL:
                 b_violations += 1
         if closed != _oracle_cp(lam1, lam2, w1, w2):
-            if abs(margin) < BOUNDARY_BAND or min_q < BOUNDARY_BAND:
+            if abs(margin) < BOUNDARY_BAND or min(map(abs, q)) < BOUNDARY_BAND:
                 excluded += 1
             else:
                 mismatches += 1
@@ -134,18 +132,17 @@ class VerifyReport:
     elapsed: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid_points": self.grid_points,
-            "samples": self.samples,
-            "mismatches": self.mismatches,
-            "boundary_excluded": self.boundary_excluded,
-            "max_roundtrip_residual": self.max_roundtrip_residual,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def run_verify(grid_step: float = 0.01, samples: int = 100_000, seed: int = 0) -> VerifyReport:
-    """Run every sweep and fold the failure counts into one report."""
+    """Run every sweep and fold the failure counts into one report.
+
+    Sizes beyond MIN_GRID_STEP or MAX_SAMPLES raise ValueError before any
+    sweep starts: the grid sweep checks its step first thing.
+    """
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [0, {MAX_SAMPLES}], got {samples!r}")
     start = time.perf_counter()
     grid_points, grid_mismatches = unital_grid_sweep(grid_step)
     n_samples, sweep_mismatches, excluded, b_violations = random_sweep(samples, seed)

@@ -1,0 +1,63 @@
+"""Each CLI request factorizes its channel at most once and runs the eigen oracle at most once.
+
+Counting wrappers replace every ``rebit.*`` module binding of the counted
+functions: ``from .canonical import decompose_channel`` copies the function
+into the importing module, so patching the defining module alone would miss
+the calls made through those copies.
+"""
+
+import json
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import rebit.cli
+from rebit.linalg import rotation_matrix
+
+COUNTED = (("rebit.canonical", "decompose_channel"), ("rebit.linalg", "eig_sym3"))
+
+
+def dressed(lam1, lam2, shift):
+    """rot(0.3) diag(lam1, lam2) rot(1.1) with the shift given in the diagonal frame."""
+    r1 = rotation_matrix(0.3)
+    a = r1 @ np.diag([lam1, lam2]) @ rotation_matrix(1.1)
+    return {"A": a.tolist(), "w": (r1 @ np.array(shift)).tolist()}
+
+
+CHANNELS = {
+    "cp": (dressed(0.6, 0.2, [0.1, 0.05]), {"check": 0, "classify": 0}),
+    "not_cp": (dressed(0.9, -0.9, [0.0, 0.0]), {"check": 2, "classify": 2}),  # q2 = -0.4
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name == "rebit" or name.startswith("rebit.")]
+    for module_name, attr in COUNTED:
+        original = getattr(sys.modules[module_name], attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", sorted(CHANNELS))
+@pytest.mark.parametrize("command", ["check", "classify", "decompose", "image"])
+def test_one_factorization_and_one_oracle_call_per_request(tmp_path, capsys, calls, kind, command):
+    doc, codes = CHANNELS[kind]
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["-o", str(tmp_path / "out.svg")] if command == "image" else [])
+    assert rebit.cli.main(argv) == codes.get(command, 0)
+    capsys.readouterr()
+    assert calls["decompose_channel"] <= 1, f"{command} factorized {calls['decompose_channel']} times"
+    assert calls["eig_sym3"] <= 1, f"{command} ran the eigen oracle {calls['eig_sym3']} times"

@@ -187,6 +187,16 @@ def test_channel_json_rejects_unknown_and_missing_fields():
         AffineChannel.from_json_dict({"A": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError):
         AffineChannel.from_json_dict({"A": [[1, 0], [0, "x"]], "w": [0, 0]})
+    # numeric strings and booleans are not the documented doubles
+    with pytest.raises(ValueError):
+        AffineChannel.from_json_dict({"A": [["0.5", True], [0, 1]], "w": [False, "0.1"]})
+    with pytest.raises(ValueError):
+        AffineChannel.from_json_dict({"A": [[1, 0], [0, 1]], "w": [True, 0]})
+    with pytest.raises(ValueError):
+        AffineChannel.from_json_dict({"A": [[1, 0], [0, "0.5"]], "w": [0, 0]})
+    # JSON integers stay valid
+    parsed = AffineChannel.from_json_dict({"A": [[1, 0], [0, 1]], "w": [0, 0]})
+    assert np.array_equal(parsed.a, np.eye(2)) and np.array_equal(parsed.w, np.zeros(2))
 
 
 def test_channel_rejects_nonfinite_entries():

@@ -2,8 +2,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rebit.classify import sample_cp_channels
 from rebit.cli import main
 
 HERE = Path(__file__).parent
@@ -129,6 +131,16 @@ def test_input_errors_exit_one(tmp_path, capsys):
         capsys, "check", write_channel(tmp_path, {"A": [[1, 0], [0, None]], "w": [0, 0]}, "n.json")
     )
     assert code == 1
+    for index, doc in enumerate(
+        [
+            {"A": [["0.5", True], [0, 1]], "w": [False, "0.1"]},
+            {"A": [[1, 0], [0, 1]], "w": [True, 0]},
+            {"A": [[1, 0], [0, "0.5"]], "w": [0, 0]},
+        ]
+    ):
+        for command in ("check", "decompose", "classify"):
+            code, out, err = run_cli(capsys, command, write_channel(tmp_path, doc, f"typed{index}.json"))
+            assert code == 1 and out == "" and "error:" in err
 
 
 def test_image_unwritable_path_exits_one(tmp_path, capsys):
@@ -159,6 +171,12 @@ def test_sample_deterministic_and_unital(capsys):
         assert json.loads(line)["w"] == [0.0, 0.0]
 
 
+def test_sample_lines_match_the_library_stream(capsys):
+    _, out, _ = run_cli(capsys, "sample", "--count", "6", "--seed", "4")
+    expected = sample_cp_channels(np.random.default_rng(4), 6)
+    assert out.splitlines() == [json.dumps(channel.to_json_dict()) for channel in expected]
+
+
 def test_sample_rejects_bad_count(capsys):
     code, _, err = run_cli(capsys, "sample", "--count", "0")
     assert code == 1 and "count" in err
@@ -185,3 +203,10 @@ def test_verify_repeat_is_stable(capsys):
 def test_verify_rejects_bad_grid_step(capsys):
     code, _, err = run_cli(capsys, "verify", "--grid-step", "3.0")
     assert code == 1 and "grid step" in err
+    # sizes past the fixed limits are refused before any sweep allocates
+    code, out, err = run_cli(capsys, "verify", "--grid-step", "1e-9")
+    assert code == 1 and out == "" and "grid step" in err
+    code, out, err = run_cli(capsys, "verify", "--samples", "1000000000000")
+    assert code == 1 and out == "" and "samples" in err
+    code, out, err = run_cli(capsys, "verify", "--samples", "-1")
+    assert code == 1 and out == "" and "samples" in err

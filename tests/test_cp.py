@@ -134,8 +134,10 @@ def test_diagonal_frame_literal_for_diagonal_channels():
 
 def test_diagonal_frame_canonical_for_dressed_channels():
     a = rotation_matrix(0.4) @ np.diag([0.6, 0.2]) @ rotation_matrix(1.1)
-    lam1, lam2, _, _ = diagonal_frame(AffineChannel(a, np.zeros(2)))
+    channel = AffineChannel(a, np.zeros(2))
+    lam1, lam2, _, _ = diagonal_frame(channel)
     assert (lam1, lam2) == pytest.approx((0.6, 0.2))
+    assert is_cp(channel).frame == diagonal_frame(channel)  # the report carries the frame it decided in
 
 
 def test_admissible_pentagon_vertices():
