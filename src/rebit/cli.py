@@ -30,13 +30,17 @@ def _fail(message: str) -> int:
 
 
 def _channel_command(command):
-    """Load the channel file ``args.channel`` for ``command``; only load errors exit 1."""
+    """Load the channel file ``args.channel`` for ``command``; only load errors exit 1.
+
+    ``RecursionError`` is a load error too: ``json.load`` raises it on arrays
+    nested deeper than the interpreter's recursion limit.
+    """
 
     def run(args) -> int:
         try:
             with open(args.channel, "r", encoding="utf-8") as handle:
                 channel = AffineChannel.from_json_dict(json.load(handle))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             return _fail(str(exc))
         return command(args, channel)
 

@@ -36,16 +36,26 @@ CP_TOL = 1e-9  # one-sided boundary slack: the admissible region is closed
 DIAGONAL_TOL = 1e-12
 
 
+def chi_entries(lam1, lam2, w1=0.0, w2=0.0) -> tuple:
+    """Upper triangle (d00, d01, d02, d11, d12, d22) of the chi matrix; accepts arrays.
+
+    Written out from the definition rather than through :func:`q_values`, so the
+    eigenvalue oracle that :mod:`rebit.verify` runs on it shares no code with
+    the closed form it checks.
+    """
+    return (
+        0.5 * (1.0 + lam1 + lam2),
+        0.5 * w1,
+        0.5 * w2,
+        0.5 * (1.0 + lam1 - lam2),
+        0.0,
+        0.5 * (1.0 - lam1 + lam2),
+    )
+
+
 def chi_matrix(lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) -> Sym3:
     """Chi matrix of the diagonal map, assembled entrywise."""
-    return Sym3(
-        d00=0.5 * (1.0 + lam1 + lam2),
-        d01=0.5 * w1,
-        d02=0.5 * w2,
-        d11=0.5 * (1.0 + lam1 - lam2),
-        d12=0.0,
-        d22=0.5 * (1.0 - lam1 + lam2),
-    )
+    return Sym3(*chi_entries(lam1, lam2, w1, w2))
 
 
 def chi_general(channel: AffineChannel) -> Sym3:
@@ -93,10 +103,15 @@ def charpoly_coeffs(lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) 
     three being nonnegative certifies, through the sign pattern of the
     characteristic cubic, that no eigenvalue of chi is negative.
     """
+    _, margin = shift_region_contains(lam1, lam2, w1, w2)
+    return _charpoly_from_margin(lam1, lam2, w1, w2, margin)
+
+
+def _charpoly_from_margin(lam1, lam2, w1, w2, margin) -> tuple:
+    """:func:`charpoly_coeffs` given the margin of :func:`shift_region_contains`."""
     ssum = lam1 + lam2
     a = 3.0 + ssum
     b = 3.0 - (w1 * w1 + w2 * w2) + 2.0 * ssum - ssum * ssum
-    _, margin = shift_region_contains(lam1, lam2, w1, w2)
     return a, b, margin / 8.0
 
 
@@ -115,10 +130,13 @@ def shift_region_contains(lam1: float, lam2: float, w1: float, w2: float) -> tup
 def closed_form_verdict(
     lam1: float, lam2: float, w1: float, w2: float
 ) -> tuple[bool, tuple[float, float, float], float]:
-    """Closed-form CP verdict at diagonal coefficients: (verdict, q, margin)."""
-    q = q_values(lam1, lam2)
+    """Closed-form CP verdict at diagonal coefficients: (verdict, q, margin).
+
+    Array arguments give elementwise verdicts; Python floats give a ``bool``.
+    """
+    q0, q1, q2 = q = q_values(lam1, lam2)
     contained, margin = shift_region_contains(lam1, lam2, w1, w2)
-    return min(q) >= -CP_TOL and contained, q, margin
+    return (q0 >= -CP_TOL) & (q1 >= -CP_TOL) & (q2 >= -CP_TOL) & contained, q, margin
 
 
 def chi_rank(chi: Sym3) -> int:
@@ -164,7 +182,7 @@ def is_cp(channel: AffineChannel) -> CpReport:
     """Decide complete positivity and assemble the full report."""
     frame = diagonal_frame(channel)
     verdict, q, margin = closed_form_verdict(*frame)
-    a, b, det_chi = charpoly_coeffs(*frame)
+    a, b, det_chi = _charpoly_from_margin(*frame, margin)
     rank = chi_rank(chi_matrix(*frame))
     return CpReport(
         q=q, a=a, b=b, det_chi=det_chi, margin=margin, is_cp=verdict, kraus_rank=rank, frame=frame

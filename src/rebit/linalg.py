@@ -138,10 +138,11 @@ def svd2(a: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
     return o1, s1, float(s2), o2
 
 
-def _jacobi_cs(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
+def _jacobi_cs(app, aqq, apq, sqrt=math.sqrt, copysign=math.copysign):
+    """(c, s, t) of the rotation annihilating apq; ``np.sqrt``/``np.copysign`` run it over arrays."""
     tau = (aqq - app) / (2.0 * apq)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
+    t = copysign(1.0, tau) / (abs(tau) + sqrt(1.0 + tau * tau))
+    c = 1.0 / sqrt(1.0 + t * t)
     return c, t * c, t
 
 
@@ -178,3 +179,44 @@ def eig_sym3(m: Sym3) -> tuple[float, float, float]:
             a01, a02 = c * a01 - s * a02, s * a01 + c * a02
     e = sorted((a00, a11, a22), reverse=True)
     return e[0], e[1], e[2]
+
+
+def _rotate_lanes(app, aqq, apq, arp, arq, live):
+    """One Jacobi rotation of :func:`eig_sym3` on the live lanes where apq is nonzero.
+
+    Returns the updated (app, aqq, apq, arp, arq); every other lane keeps its
+    entries unchanged, exactly as the scalar loop skips a zero entry.
+    """
+    on = live & (apq != 0.0)
+    c, s, t = _jacobi_cs(app, aqq, np.where(on, apq, 1.0), np.sqrt, np.copysign)
+    new = (app - t * apq, aqq + t * apq, np.zeros_like(apq), c * arp - s * arq, s * arp + c * arq)
+    if on.all():
+        return new
+    return tuple(np.where(on, n, old) for n, old in zip(new, (app, aqq, apq, arp, arq)))
+
+
+def eig_sym3_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
+    """Eigenvalues of a stack of symmetric 3x3 matrices given entrywise, shape (..., 3).
+
+    The entries broadcast against each other.  Each lane runs the cyclic
+    Jacobi of :func:`eig_sym3` with the same arithmetic: a rotation is skipped
+    where its entry is exactly 0, and a lane freezes once its largest
+    off-diagonal entry is below ``JACOBI_TOL``.  Rows are sorted descending
+    with ties kept in diagonal order, as ``sorted`` does, so every row equals
+    ``eig_sym3`` of that lane bit for bit.  The fixed cost of the array calls
+    makes it much slower than ``eig_sym3`` on a single matrix.
+    """
+    a00, a01, a02, a11, a12, a22 = (
+        np.array(x, dtype=float) for x in np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
+    )
+    live = np.ones(a00.shape, dtype=bool)
+    with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
+        for _ in range(JACOBI_MAX_SWEEPS):
+            live &= np.maximum(np.maximum(abs(a01), abs(a02)), abs(a12)) >= JACOBI_TOL
+            if not live.any():
+                break
+            a00, a11, a01, a02, a12 = _rotate_lanes(a00, a11, a01, a02, a12, live)
+            a00, a22, a02, a01, a12 = _rotate_lanes(a00, a22, a02, a01, a12, live)
+            a11, a22, a12, a01, a02 = _rotate_lanes(a11, a22, a12, a01, a02, live)
+    e = np.stack((a00, a11, a22), axis=-1)
+    return np.take_along_axis(e, np.argsort(-e, axis=-1, kind="stable"), axis=-1)

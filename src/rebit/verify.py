@@ -17,20 +17,26 @@ import numpy as np
 from .bloch import density_from_bloch
 from .canonical import decompose_channel, reconstruction_residual
 from .channel import AffineChannel, rotation_channel
-from .cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict
-from .linalg import eig_sym3, rotation_matrix
+from .cp import CP_TOL, charpoly_coeffs, chi_entries, closed_form_verdict
+from .linalg import eig_sym3_batch, rotation_matrix
 
 BOUNDARY_BAND = 1e-7
-# A grid point costs about 10 us and a random point about 35 us of scalar
-# Python, and the random sweep draws all its points at once, 32 bytes each.
-# These limits keep each sweep under about a minute and that draw under
-# 32 MB, whatever sizes the command line asks for.
+CHUNK = 4096  # points per array evaluation in the grid and random sweeps
+# The grid and random sweeps evaluate CHUNK points at a time, and the random
+# points are drawn chunk by chunk from one generator (the same stream as one
+# up-front draw), so their memory stays flat in their size.  Their time does
+# not: a grid point costs about 0.2 us and a random point about 0.8 us, and
+# the round trip (at most 10^4 points) stays scalar at about 120 us a point
+# (Python 3.11, numpy 2.4, one core of an x86-64 Xeon VM).  These limits keep
+# the largest run near 3 s: 0.9 s of grid, 0.8 s of random points and 1.2 s
+# of round trip, whatever sizes the command line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
 
 
-def _oracle_cp(lam1: float, lam2: float, w1: float, w2: float) -> bool:
-    return eig_sym3(chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_TOL
+def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
+    """Sign of the smallest Jacobi eigenvalue of chi, elementwise over arrays."""
+    return eig_sym3_batch(*chi_entries(lam1, lam2, w1, w2))[..., 2] >= -CP_TOL
 
 
 def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
@@ -44,11 +50,11 @@ def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
     n = round(2.0 / step) + 1
     axis = np.linspace(-1.0, 1.0, n)
     mismatches = 0
-    for lam1 in axis:
-        for lam2 in axis:
-            closed, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0)
-            if closed != _oracle_cp(lam1, lam2, 0.0, 0.0):
-                mismatches += 1
+    for start in range(0, n * n, CHUNK):
+        k = np.arange(start, min(start + CHUNK, n * n))
+        lam1, lam2 = axis[k // n], axis[k % n]
+        closed, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0)
+        mismatches += int(np.count_nonzero(closed != _oracle_cp(lam1, lam2, 0.0, 0.0)))
     return n * n, mismatches
 
 
@@ -63,19 +69,17 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
     b_violations).
     """
     rng = np.random.default_rng(seed)
-    params = rng.uniform(-1.0, 1.0, (samples, 4))
     mismatches = excluded = b_violations = 0
-    for lam1, lam2, w1, w2 in params:
-        closed, q, margin = closed_form_verdict(lam1, lam2, w1, w2)
-        if closed:
-            _, b, _ = charpoly_coeffs(lam1, lam2, w1, w2)
-            if b < -CP_TOL:
-                b_violations += 1
-        if closed != _oracle_cp(lam1, lam2, w1, w2):
-            if abs(margin) < BOUNDARY_BAND or min(map(abs, q)) < BOUNDARY_BAND:
-                excluded += 1
-            else:
-                mismatches += 1
+    for start in range(0, samples, CHUNK):
+        lam1, lam2, w1, w2 = rng.uniform(-1.0, 1.0, (min(CHUNK, samples - start), 4)).T
+        closed, (q0, q1, q2), margin = closed_form_verdict(lam1, lam2, w1, w2)
+        _, b, _ = charpoly_coeffs(lam1, lam2, w1, w2)
+        b_violations += int(np.count_nonzero(closed & (b < -CP_TOL)))
+        differ = closed != _oracle_cp(lam1, lam2, w1, w2)
+        min_abs_q = np.minimum(np.minimum(abs(q0), abs(q1)), abs(q2))
+        near = (abs(margin) < BOUNDARY_BAND) | (min_abs_q < BOUNDARY_BAND)
+        excluded += int(np.count_nonzero(differ & near))
+        mismatches += int(np.count_nonzero(differ & ~near))
     return samples, mismatches, excluded, b_violations
 
 

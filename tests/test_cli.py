@@ -131,6 +131,10 @@ def test_input_errors_exit_one(tmp_path, capsys):
         capsys, "check", write_channel(tmp_path, {"A": [[1, 0], [0, None]], "w": [0, 0]}, "n.json")
     )
     assert code == 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)  # json.load gives up with RecursionError
+    code, out, err = run_cli(capsys, "check", str(deep))
+    assert code == 1 and out == "" and "error:" in err
     for index, doc in enumerate(
         [
             {"A": [["0.5", True], [0, 1]], "w": [False, "0.1"]},

@@ -9,6 +9,7 @@ from rebit.cp import (
     charpoly_coeffs,
     chi_general,
     chi_matrix,
+    closed_form_verdict,
     diagonal_frame,
     is_cp,
     q_values,
@@ -125,6 +126,39 @@ def test_is_cp_boundary_shift_rank_two():
     assert report.is_cp
     assert abs(report.margin) < 1e-15
     assert report.kraus_rank == 2
+
+
+def test_is_cp_computes_the_margin_once(monkeypatch):
+    import rebit.cp
+
+    calls = []
+    original = rebit.cp.shift_region_contains
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rebit.cp, "shift_region_contains", counted)
+    dressed = AffineChannel(rotation_matrix(0.4) @ np.diag([0.6, 0.2]) @ rotation_matrix(1.1), [0.1, 0.0])
+    for channel in (AffineChannel.identity(), DIAG(0.3, -0.7, 0.1, 0.0), DIAG(1.0, -1.0), dressed):
+        calls.clear()
+        report = is_cp(channel)
+        assert len(calls) == 1
+        assert (report.a, report.b, report.det_chi) == charpoly_coeffs(*report.frame)
+
+
+def test_closed_form_verdict_types():
+    verdict, _, _ = closed_form_verdict(0.9, -0.9, 0.1, 0.0)
+    assert type(verdict) is bool and not verdict
+    verdict, _, _ = closed_form_verdict(0.5, 0.5, 0.1, 0.0)
+    assert type(verdict) is bool and verdict
+    points = np.array(
+        [[0.9, -0.9, 0.1, 0.0], [0.5, 0.5, 0.1, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.1]]
+    )
+    verdicts, (q0, q1, q2), margins = closed_form_verdict(*points.T)
+    for row, verdict, *rest in zip(points, verdicts, q0, q1, q2, margins):
+        assert (verdict, tuple(rest[:3]), rest[3]) == closed_form_verdict(*row)
+    assert verdicts.tolist() == [False, True, True, False]
 
 
 def test_diagonal_frame_literal_for_diagonal_channels():

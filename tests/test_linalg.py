@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebit.linalg import Rotation2, Sym3, eig_sym3, rotation_matrix, svd2
+from rebit.cp import chi_matrix
+from rebit.linalg import Rotation2, Sym3, eig_sym3, eig_sym3_batch, rotation_matrix, svd2
 
 
 def svd_parts(a):
@@ -98,6 +99,53 @@ def test_svd2_roundtrip_hypothesis(entries):
 def test_eig_sym3_diagonal():
     assert eig_sym3(Sym3(1.5, 0.0, 0.0, 0.5, 0.0, 0.5)) == (1.5, 0.5, 0.5)
     assert eig_sym3(Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+
+
+def batch_matches_scalar(matrices):
+    """eig_sym3_batch on the stacked matrices equals eig_sym3 on each, bit for bit."""
+    fields = ("d00", "d01", "d02", "d11", "d12", "d22")
+    entries = [np.array([getattr(m, f) for m in matrices]) for f in fields]
+    batched = eig_sym3_batch(*entries)
+    scalar = np.array([eig_sym3(m) for m in matrices]).reshape(len(matrices), 3)
+    return batched.shape == scalar.shape and np.array_equal(batched.view(np.int64), scalar.view(np.int64))
+
+
+def test_eig_sym3_batch_matches_scalar_on_random_matrices():
+    rng = np.random.default_rng(98)
+    full = [Sym3(*rng.uniform(-2.0, 2.0, 6)) for _ in range(3000)]
+    chi = [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(3000)]
+    assert batch_matches_scalar(full)
+    assert batch_matches_scalar(chi)
+
+
+def test_eig_sym3_batch_matches_scalar_on_corner_cases():
+    corners = [
+        Sym3(1.5, 0.0, 0.0, 0.5, 0.0, 0.5),  # diagonal with a tie
+        Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),  # zero
+        Sym3(0.0, 0.0, 0.0, -0.0, 0.0, -0.0),  # signed zeros keep their diagonal order
+        Sym3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0),  # triple tie
+        Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5),  # exact tie inside the rotated block
+        Sym3(1.0, 1.0, 1.0, 1.0, 1.0, 1.0),  # rank one, equal diagonal (tau = 0)
+        Sym3(1e-14, 7e-15, 0.0, 2e-14, 0.0, 0.0),  # off-diagonal just below JACOBI_TOL: frozen
+        Sym3(1.0, 1e-170, 0.5, 0.0, 0.3, 2.0),  # tau * tau overflows to inf
+        chi_matrix(0.5, -0.5, 0.0, 0.0),  # q2 = 0
+        chi_matrix(-0.5, 0.5, 0.0, 0.0),  # q1 = 0
+        chi_matrix(-0.5, -0.5, 0.0, 0.0),  # q0 = 0
+        chi_matrix(0.0, 0.0, 0.0, 1.0),  # singular, on the determinant boundary
+        chi_matrix(1.0, 1.0, 0.0, 0.0),  # identity channel
+        chi_matrix(0.5, -0.5, 0.3, 0.0),  # q2 = 0 with a shift: negative eigenvalue
+    ]
+    assert batch_matches_scalar(corners)
+    for m in corners:  # one lane at a time, too
+        assert batch_matches_scalar([m])
+
+
+def test_eig_sym3_batch_broadcasts_scalar_entries():
+    lam = np.linspace(-1.0, 1.0, 7)
+    batched = eig_sym3_batch(lam, 0.25, 0.0, 0.5, 0.0, -lam)
+    assert batched.shape == (7, 3)
+    assert batch_matches_scalar([Sym3(x, 0.25, 0.0, 0.5, 0.0, -x) for x in lam])
+    assert eig_sym3_batch(np.empty(0), 0.0, 0.0, 0.0, 0.0, 0.0).shape == (0, 3)
 
 
 def test_eig_sym3_coupled_block():

@@ -1,0 +1,95 @@
+"""The batched grid and random sweeps against one-point-at-a-time reference loops."""
+
+import numpy as np
+import pytest
+
+import rebit.verify as verify
+from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict
+from rebit.linalg import eig_sym3
+from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, unital_grid_sweep
+
+
+def oracle(lam1, lam2, w1, w2):
+    return eig_sym3(chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_TOL
+
+
+def grid_reference(step, oracle=oracle):
+    n = round(2.0 / step) + 1
+    axis = np.linspace(-1.0, 1.0, n)
+    mismatches = 0
+    for lam1 in axis:
+        for lam2 in axis:
+            closed, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0)
+            if closed != oracle(lam1, lam2, 0.0, 0.0):
+                mismatches += 1
+    return n * n, mismatches
+
+
+def random_reference(samples, seed, oracle=oracle, band=BOUNDARY_BAND, b_tol=CP_TOL):
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-1.0, 1.0, (samples, 4))
+    mismatches = excluded = b_violations = 0
+    for lam1, lam2, w1, w2 in params:
+        closed, q, margin = closed_form_verdict(lam1, lam2, w1, w2)
+        if closed:
+            _, b, _ = charpoly_coeffs(lam1, lam2, w1, w2)
+            if b < -b_tol:
+                b_violations += 1
+        if closed != oracle(lam1, lam2, w1, w2):
+            if abs(margin) < band or min(map(abs, q)) < band:
+                excluded += 1
+            else:
+                mismatches += 1
+    return samples, mismatches, excluded, b_violations
+
+
+@pytest.mark.parametrize("samples", [0, 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_random_sweep_matches_scalar_reference(samples, seed):
+    result = random_sweep(samples, seed)
+    assert result == random_reference(samples, seed)
+    assert all(type(x) is int for x in result)
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 2.0 / 63, 2.0 / 64])  # 9, 25, 4096 and 4225 points
+def test_unital_grid_sweep_matches_scalar_reference(step):
+    result = unital_grid_sweep(step)
+    assert result == grid_reference(step)
+    assert all(type(x) is int for x in result)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 25])
+def test_sweeps_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    assert unital_grid_sweep(0.5) == grid_reference(0.5)
+    assert random_sweep(60, 3) == random_reference(60, 3)
+
+
+def test_unital_grid_sweep_visits_the_reference_points(monkeypatch):
+    # The closed form and the real oracle agree on every grid point, so only a
+    # stand-in oracle shows which points the sweep visits.
+    def stand_in(lam1, lam2, w1, w2):
+        return lam1 > 2.0 * lam2 - 0.3
+
+    monkeypatch.setattr(verify, "_oracle_cp", stand_in)
+    monkeypatch.setattr(verify, "CHUNK", 50)
+    result = unital_grid_sweep(0.1)
+    assert result == grid_reference(0.1, oracle=stand_in)
+    assert result[1] > 0
+
+
+def test_random_sweep_counts_disagreements_as_the_reference_does(monkeypatch):
+    # Random points never land within BOUNDARY_BAND of a boundary, so with the
+    # real oracle every count is 0.  A stand-in oracle, a wide band and a
+    # b threshold that every point misses make all three counts nonzero.
+    def stand_in(lam1, lam2, w1, w2):
+        return w1 > 0.0
+
+    monkeypatch.setattr(verify, "_oracle_cp", stand_in)
+    monkeypatch.setattr(verify, "BOUNDARY_BAND", 0.05)
+    monkeypatch.setattr(verify, "CP_TOL", -10.0)
+    monkeypatch.setattr(verify, "CHUNK", 64)
+    result = random_sweep(1000, 2)
+    assert result == random_reference(1000, 2, oracle=stand_in, band=0.05, b_tol=-10.0)
+    assert min(result) > 0
+
