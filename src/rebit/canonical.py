@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AffineChannel
-from .linalg import TAU, Rotation2, rotation_matrix, svd2
+from .linalg import TAU, Rotation2, _check_finite_2x2, rotation_matrix
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class CanonicalForm:
     shift: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta1", float(self.theta1) % TAU)
-        object.__setattr__(self, "theta2", float(self.theta2) % TAU)
+        object.__setattr__(self, "theta1", Rotation2(self.theta1).angle)
+        object.__setattr__(self, "theta2", Rotation2(self.theta2).angle)
         shift = np.array(self.shift, dtype=float)
         if shift.shape != (2,) or not np.all(np.isfinite(shift)):
             raise ValueError("shift must be a finite 2-vector")
@@ -49,31 +49,69 @@ class CanonicalForm:
         }
 
 
+def _pick(cond, if_true, if_false):
+    return if_true if cond else if_false
+
+
+# The math functions and the select that run :func:`factorize` on Python
+# floats and, elementwise, on numpy arrays.
+FLOAT_OPS = (math.atan2, math.hypot, math.cos, math.sin, math.copysign, _pick)
+ARRAY_OPS = (np.arctan2, np.hypot, np.cos, np.sin, np.copysign, np.where)
+
+
+def factorize(a00, a01, a10, a11, w0, w1, ops=FLOAT_OPS):
+    """(theta1, theta2, lam1, lam2, s0, s1) of A = [[a00, a01], [a10, a11]] and w = (w0, w1).
+
+    The one statement of the factorization, on Python floats with
+    ``FLOAT_OPS`` and elementwise on arrays with ``ARRAY_OPS``.  The right
+    rotation is the exact eigen-rotation of A^t A (larger eigenvalue first;
+    an exact tie gives theta2 = 0).  The image of its first column fixes
+    theta1 and lam1; the second column's component along the perpendicular
+    of the first is sigma2 * sign(det A), so a reflection lands in the sign
+    of lam2, clipped to |lam2| <= lam1.  The shift goes into the diagonal
+    frame as s = rot(theta1)^t w.  Angles are reduced to [0, 2*pi); the
+    zero matrix gives theta1 = theta2 = 0 and lam = (0, 0).  A^t A is formed
+    directly, so entries beyond about 1e154 overflow it into NaN angles.
+    """
+    atan2, hypot, cos, sin, copysign, select = ops
+    # q, d and the shift are summed from +0.0, as numpy's matrix products
+    # are: the sign of a zero q picks atan2's branch, that of d lam2's sign
+    p = a00 * a00 + a10 * a10
+    q = 0.0 + a00 * a01 + a10 * a11
+    r = a01 * a01 + a11 * a11
+    half = 0.5 * atan2(2.0 * q, p - r)
+    c, s = cos(half), sin(half)
+    y10, y11 = a00 * c + a01 * s, a10 * c + a11 * s  # A @ (c, s)
+    y20, y21 = a01 * c - a00 * s, a11 * c - a10 * s  # A @ (-s, c)
+    lam1 = hypot(y10, y11)
+    zero = lam1 == 0.0
+    norm = select(zero, 1.0, lam1)
+    u0, u1 = y10 / norm, y11 / norm
+    d = 0.0 - u1 * y20 + u0 * y21
+    size = abs(d)
+    lam2 = select(zero, 0.0, copysign(select(lam1 < size, lam1, size), d))
+    theta1 = select(zero, 0.0, atan2(u1, u0)) % TAU
+    theta2 = select(zero, 0.0, atan2(-s, c)) % TAU
+    c1, s1 = cos(theta1), sin(theta1)
+    return theta1, theta2, lam1, lam2, 0.0 + c1 * w0 + s1 * w1, 0.0 + c1 * w1 - s1 * w0
+
+
 def canonical_decompose(a: np.ndarray) -> tuple[Rotation2, tuple[float, float], Rotation2]:
     """Factor a 2x2 matrix as rot(theta1) @ diag(lam1, lam2) @ rot(theta2).
 
-    Built on :func:`rebit.linalg.svd2`; the left SVD factor's reflection, if
-    any, is folded into the sign of lam2 so both returned factors are proper
-    rotations.  The zero matrix gives identity rotations and lam = (0, 0).
+    :func:`factorize` on the entries; both returned factors are proper
+    rotations and any reflection sits in the sign of lam2.  The zero matrix
+    gives identity rotations and lam = (0, 0).
     """
-    o1, s1, s2, o2 = svd2(a)
-    if o1[0, 0] * o1[1, 1] - o1[0, 1] * o1[1, 0] < 0.0:
-        # o1 = r1 @ diag(1, -1); push the reflection into the second scale
-        r1 = np.column_stack([o1[:, 0], -o1[:, 1]])
-        lam2 = -s2
-    else:
-        r1 = o1
-        lam2 = s2
-    theta1 = math.atan2(r1[1, 0], r1[0, 0])
-    theta2 = math.atan2(o2[0, 1], o2[0, 0])  # angle of o2.T
-    return Rotation2(theta1), (s1, lam2), Rotation2(theta2)
+    a00, a01, a10, a11 = _check_finite_2x2(a).ravel().tolist()
+    theta1, theta2, lam1, lam2, _, _ = factorize(a00, a01, a10, a11, 0.0, 0.0)
+    return Rotation2(theta1), (lam1, lam2), Rotation2(theta2)
 
 
 def decompose_channel(channel: AffineChannel) -> CanonicalForm:
     """Canonical form of an affine channel, shift mapped into the diagonal frame."""
-    r1, (lam1, lam2), r2 = canonical_decompose(channel.a)
-    s = r1.matrix.T @ channel.w
-    return CanonicalForm(theta1=r1.angle, theta2=r2.angle, lam1=lam1, lam2=lam2, shift=s)
+    theta1, theta2, lam1, lam2, s0, s1 = factorize(*channel.a.ravel().tolist(), *channel.w.tolist())
+    return CanonicalForm(theta1=theta1, theta2=theta2, lam1=lam1, lam2=lam2, shift=(s0, s1))
 
 
 def reconstruct(form: CanonicalForm) -> AffineChannel:

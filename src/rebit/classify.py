@@ -194,6 +194,11 @@ def _sample_diagonal_scales(rng: np.random.Generator) -> tuple[float, float]:
 
 
 def _sample_shift(rng: np.random.Generator, lam1: float, lam2: float) -> np.ndarray:
+    """Rejection-sample a shift whose channel is CP and maps the disk into itself.
+
+    Raises RuntimeError after 100,000 misses: returning a zero shift instead
+    would pass a unital channel off as a non-unital draw.
+    """
     a1, a2 = abs(lam1), abs(lam2)
     b1, b2 = max(0.0, 1.0 - a1), max(0.0, 1.0 - a2)
     for _ in range(100_000):
@@ -201,7 +206,7 @@ def _sample_shift(rng: np.random.Generator, lam1: float, lam2: float) -> np.ndar
         _, margin = shift_region_contains(lam1, lam2, s[0], s[1])
         if margin >= 0.0 and ellipse_peak_norm(s, (a1, a2)) <= 1.0:
             return s
-    return np.zeros(2)  # unreachable in practice; keeps the sampler total
+    raise RuntimeError(f"no admissible shift found for lam = ({float(lam1)}, {float(lam2)})")
 
 
 def _sample_channel(rng: np.random.Generator, unital: bool) -> AffineChannel:

@@ -113,7 +113,9 @@ def svd2(a: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
     reflection absorbed into o1.  The right factor comes from the exact
     eigen-rotation of a.T @ a, the left factor from the images of its columns,
     so both factors are orthogonal by construction.  The zero matrix yields
-    identity factors.
+    identity factors.  The package factors channels with
+    :func:`rebit.canonical.factorize`; the tests keep this function as a
+    reference for it.
     """
     a = _check_finite_2x2(a)
     ata = a.T @ a

@@ -15,21 +15,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bloch import density_from_bloch
-from .canonical import decompose_channel, reconstruction_residual
-from .channel import AffineChannel, rotation_channel
+from .canonical import ARRAY_OPS, factorize
+from .channel import rotation_channel
 from .cp import CP_TOL, charpoly_coeffs, chi_entries, closed_form_verdict
 from .linalg import eig_sym3_batch, rotation_matrix
 
 BOUNDARY_BAND = 1e-7
-CHUNK = 4096  # points per array evaluation in the grid and random sweeps
-# The grid and random sweeps evaluate CHUNK points at a time, and the random
-# points are drawn chunk by chunk from one generator (the same stream as one
-# up-front draw), so their memory stays flat in their size.  Their time does
-# not: a grid point costs about 0.2 us and a random point about 0.8 us, and
-# the round trip (at most 10^4 points) stays scalar at about 120 us a point
-# (Python 3.11, numpy 2.4, one core of an x86-64 Xeon VM).  These limits keep
-# the largest run near 3 s: 0.9 s of grid, 0.8 s of random points and 1.2 s
-# of round trip, whatever sizes the command line asks for.
+CHUNK = 4096  # points per array evaluation in every sweep but the double-angle one
+# The grid, random and round-trip sweeps evaluate CHUNK points at a time, and
+# random points are drawn chunk by chunk from one generator (the same stream
+# as one up-front draw), so their memory stays flat in their size.  Their
+# time does not: a grid point costs about 0.15 us, a random point about
+# 0.7 us and a round trip about 0.5 us (best of 3, Python 3.11, numpy 2.4,
+# one core of an x86-64 Xeon VM).  These limits keep the largest run near
+# 1.5 s: 0.6 s of grid and 0.7 s of random points; the round trip is capped
+# at 10^4 points, about 5 ms, whatever sizes the command line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
 
@@ -84,21 +84,31 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
 
 
 def roundtrip_sweep(samples: int = 10_000, seed: int = 0, span: float = 2.0) -> tuple[int, float, float]:
-    """Factorization round trip on random linear parts with entries in [-span, span].
+    """Factorization round trip on random channels with entries in [-span, span].
 
-    Returns (samples, max_residual, max_det_error).
+    Each point is a linear part A and a shift w, drawn as the six entries
+    (a00, a01, a10, a11, w0, w1) in that order.  Returns (samples,
+    max_residual, max_det_error): the largest max-abs mismatch between
+    (A, w) and (rot(theta1) diag(lam1, lam2) rot(theta2), rot(theta1) s),
+    and the largest |det A - lam1 lam2|.
     """
     rng = np.random.default_rng(seed)
-    max_residual = 0.0
-    max_det_err = 0.0
-    for _ in range(samples):
-        a = rng.uniform(-span, span, (2, 2))
-        w = rng.uniform(-span, span, 2)
-        channel = AffineChannel(a, w)
-        form = decompose_channel(channel)
-        max_residual = max(max_residual, reconstruction_residual(channel, form))
-        det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        max_det_err = max(max_det_err, abs(det_a - form.lam1 * form.lam2))
+    max_residual = max_det_err = 0.0
+    for start in range(0, samples, CHUNK):
+        entries = rng.uniform(-span, span, (min(CHUNK, samples - start), 6)).T
+        a00, a01, a10, a11, w0, w1 = entries
+        theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries, ARRAY_OPS)
+        c1, n1, c2, n2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
+        rebuilt = (
+            c1 * lam1 * c2 - n1 * lam2 * n2,
+            -c1 * lam1 * n2 - n1 * lam2 * c2,
+            n1 * lam1 * c2 + c1 * lam2 * n2,
+            c1 * lam2 * c2 - n1 * lam1 * n2,
+            c1 * s0 - n1 * s1,
+            n1 * s0 + c1 * s1,
+        )
+        max_residual = max(max_residual, float(abs(np.stack(rebuilt) - entries).max()))
+        max_det_err = max(max_det_err, float(abs(a00 * a11 - a01 * a10 - lam1 * lam2).max()))
     return samples, max_residual, max_det_err
 
 

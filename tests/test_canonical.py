@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebit.canonical import (
+    ARRAY_OPS,
     CanonicalForm,
     canonical_decompose,
     decompose_channel,
+    factorize,
     reconstruct,
     reconstruction_residual,
 )
 from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel
 from rebit.cp import is_cp
-from rebit.linalg import rotation_matrix, svd2
+from rebit.linalg import TAU, rotation_matrix, svd2
 
 
 def test_already_diagonal_is_fixed_point():
@@ -140,3 +142,92 @@ def test_cp_verdict_invariant_under_factorization():
         form = decompose_channel(channel)
         diagonal_part = AffineChannel(np.diag([form.lam1, form.lam2]), form.shift)
         assert is_cp(channel).is_cp == is_cp(diagonal_part).is_cp
+
+
+def float_path(entries: np.ndarray) -> np.ndarray:
+    """factorize on Python floats, one row of (a00, a01, a10, a11, w0, w1) at a time."""
+    return np.array([factorize(*row) for row in entries.tolist()]).reshape(-1, 6)
+
+
+def array_path(entries: np.ndarray) -> np.ndarray:
+    return np.stack(factorize(*entries.T, ARRAY_OPS), axis=-1).reshape(-1, 6)
+
+
+def random_entries(count: int, seed: int, span: float = 2.0) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-span, span, (count, 6))
+
+
+def test_float_and_array_paths_agree_on_random_matrices():
+    entries = random_entries(10_000, 81)
+    floats, arrays = float_path(entries), array_path(entries)
+    # angles compared around the circle: 2*pi - tiny and tiny are neighbours
+    angles = np.abs((floats[:, :2] - arrays[:, :2] + math.pi) % TAU - math.pi)
+    assert angles.max() <= 1e-14
+    assert np.abs(floats[:, 2:] - arrays[:, 2:]).max() <= 1e-14
+
+
+Z, T = -0.0, 1e-300
+DEGENERATE_CORNERS = [
+    [[0.0, 0.0], [0.0, -1.0]],
+    [[-1.0, 0.0], [0.0, -1.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, 1.0], [-1.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[Z, Z], [Z, Z]],
+    [[Z, 0.0], [0.0, -1.0]],
+    [[Z, 1.0], [-1.0, Z]],
+    [[Z, 1.0], [Z, 1.0]],
+    [[1.0, 0.0], [0.0, Z]],
+    [[1.0, Z], [Z, -1.0]],
+    [[T, 0.0], [0.0, T]],
+    [[T, 0.0], [0.0, -T]],
+    [[1.0, 0.0], [0.0, -T]],
+    [[T, T], [T, T]],
+    [[T, 1.0], [1.0, T]],
+    [[0.0, T], [-T, 0.0]],
+]
+
+
+def corner_entries(shifts) -> np.ndarray:
+    return np.array([np.ravel(a).tolist() + list(w) for a in DEGENERATE_CORNERS for w in shifts])
+
+
+def test_float_and_array_paths_agree_exactly_on_degenerate_corners():
+    entries = corner_entries([(0.0, 0.0), (Z, 0.3), (T, -T)])
+    floats, arrays = float_path(entries), array_path(entries)
+    assert floats.tobytes() == arrays.tobytes()  # bit for bit, signs of zeros included
+
+
+def test_the_sign_of_a_zero_entry_does_not_change_the_factorization():
+    # A signed zero in q would flip the half-angle by pi/2, one in the
+    # perpendicular component the sign of lam2, one in the shift its sign.
+    entries = corner_entries([(0.0, 0.0), (Z, 0.3), (Z, Z)])
+    positive, negative = entries.copy(), entries.copy()
+    positive[entries == 0.0] = 0.0
+    negative[entries == 0.0] = Z
+    for path in (float_path, array_path):
+        expected = path(positive)
+        assert not np.signbit(expected[expected == 0.0]).any()
+        assert path(entries).tobytes() == path(negative).tobytes() == expected.tobytes()
+
+
+def test_scales_are_the_singular_values_with_the_sign_of_the_determinant():
+    entries = random_entries(10_000, 82)
+    _, _, lam1, lam2, _, _ = array_path(entries).T
+    a = entries[:, :4].reshape(-1, 2, 2)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    # relative to lam1 = |A|: the small singular value is accurate in absolute terms
+    assert np.all(np.abs(lam1 - sigma[:, 0]) <= 1e-14 * lam1)
+    assert np.all(np.abs(np.abs(lam2) - sigma[:, 1]) <= 1e-14 * lam1)
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    assert np.array_equal(np.sign(lam2), np.sign(det))
+
+
+def test_entries_near_1e200_still_raise():
+    # A^t A overflows, so the half-angle is NaN and the channel is refused.
+    channel = AffineChannel(np.array([[1e200, -2e200], [3e200, 1e200]]), np.array([0.1, 0.0]))
+    with pytest.raises(ValueError, match="rotation angle must be finite"):
+        decompose_channel(channel)
+    with pytest.raises(ValueError, match="rotation angle must be finite"):
+        canonical_decompose(channel.a)

@@ -20,6 +20,7 @@ from rebit.classify import (
     rank_at,
     sample_cp_channel,
     sample_cp_channels,
+    _sample_shift,
 )
 from rebit.cp import is_cp
 from rebit.linalg import rotation_matrix
@@ -175,6 +176,26 @@ def test_sampler_stream_matches_single_draws():
     assert len(stream) == 5
     for channel in stream:
         assert is_cp(channel).is_cp
+
+
+class _CornerGenerator:
+    """Stands in for a Generator: every draw is the top of its range."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def uniform(self, low, high, size=None):
+        self.draws += 1
+        return high
+
+
+def test_shift_sampler_raises_instead_of_returning_a_zero_shift():
+    # lam = (1/2, 0) puts the shift box at [-1/2, 1/2] x [-1, 1], whose corner
+    # fails the determinant condition, so every one of the 100,000 tries misses.
+    rng = _CornerGenerator()
+    with pytest.raises(RuntimeError, match=r"\(0\.5, 0\.0\)"):
+        _sample_shift(rng, 0.5, 0.0)
+    assert rng.draws == 2 * 100_000
 
 
 def test_sampled_images_stay_inside_disk():

@@ -1,12 +1,14 @@
-"""The batched grid and random sweeps against one-point-at-a-time reference loops."""
+"""The batched sweeps against one-point-at-a-time reference loops."""
 
 import numpy as np
 import pytest
 
 import rebit.verify as verify
+from rebit.canonical import decompose_channel, factorize, reconstruction_residual
+from rebit.channel import AffineChannel
 from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict
 from rebit.linalg import eig_sym3
-from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, unital_grid_sweep
+from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, roundtrip_sweep, run_verify, unital_grid_sweep
 
 
 def oracle(lam1, lam2, w1, w2):
@@ -93,3 +95,61 @@ def test_random_sweep_counts_disagreements_as_the_reference_does(monkeypatch):
     assert result == random_reference(1000, 2, oracle=stand_in, band=0.05, b_tol=-10.0)
     assert min(result) > 0
 
+
+def roundtrip_reference(samples, seed, span=2.0):
+    rng = np.random.default_rng(seed)
+    max_residual = max_det_err = 0.0
+    for _ in range(samples):
+        a = rng.uniform(-span, span, (2, 2))
+        w = rng.uniform(-span, span, 2)
+        channel = AffineChannel(a, w)
+        form = decompose_channel(channel)
+        max_residual = max(max_residual, reconstruction_residual(channel, form))
+        det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        max_det_err = max(max_det_err, float(abs(det_a - form.lam1 * form.lam2)))
+    return samples, max_residual, max_det_err
+
+
+@pytest.mark.parametrize("samples", [0, 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_roundtrip_sweep_matches_scalar_reference(samples, seed):
+    # The sweep rebuilds with written-out products, the reference with
+    # numpy's 2x2 matrix products, so the two round differently.
+    result = roundtrip_sweep(samples, seed)
+    reference = roundtrip_reference(samples, seed)
+    assert result[0] == reference[0] == samples
+    assert result[1] == pytest.approx(reference[1], abs=1e-14)
+    assert result[2] == pytest.approx(reference[2], abs=1e-14)
+    assert all(type(x) is float for x in result[1:])
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 25])
+def test_roundtrip_sweep_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    expected = roundtrip_sweep(60, 3)
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    assert roundtrip_sweep(60, 3) == expected
+
+
+def test_roundtrip_chunked_draw_equals_the_per_point_draws():
+    chunked = np.random.default_rng(9).uniform(-2.0, 2.0, (50, 6))
+    rng = np.random.default_rng(9)
+    single = [np.concatenate([rng.uniform(-2.0, 2.0, (2, 2)).ravel(), rng.uniform(-2.0, 2.0, 2)]) for _ in range(50)]
+    assert np.array_equal(chunked, np.array(single))
+
+
+def swapped_angles(*entries):
+    theta1, theta2, *rest = factorize(*entries)
+    return (theta2, theta1, *rest)
+
+
+def unrotated_shift(*entries):
+    return (*factorize(*entries)[:4], *entries[4:6])
+
+
+@pytest.mark.parametrize("wrong", [swapped_angles, unrotated_shift])
+def test_a_wrong_factorization_fails_verify(monkeypatch, wrong):
+    assert run_verify(grid_step=1.0, samples=50).mismatches == 0
+    monkeypatch.setattr(verify, "factorize", wrong)
+    report = run_verify(grid_step=1.0, samples=50)
+    assert report.mismatches == 1
+    assert report.max_roundtrip_residual > 1e-10
