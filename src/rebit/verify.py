@@ -96,7 +96,7 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0, span: float = 2.0) -> 
     max_residual = max_det_err = 0.0
     for start in range(0, samples, CHUNK):
         entries = rng.uniform(-span, span, (min(CHUNK, samples - start), 6)).T
-        a00, a01, a10, a11, w0, w1 = entries
+        a00, a01, a10, a11 = entries[:4]
         theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries, ARRAY_OPS)
         c1, n1, c2, n2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
         rebuilt = (
