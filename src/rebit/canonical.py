@@ -31,7 +31,7 @@ class CanonicalForm:
         object.__setattr__(self, "theta1", Rotation2(self.theta1).angle)
         object.__setattr__(self, "theta2", Rotation2(self.theta2).angle)
         shift = np.array(self.shift, dtype=float)
-        if shift.shape != (2,) or not np.all(np.isfinite(shift)):
+        if shift.shape != (2,) or not np.isfinite(shift).all():
             raise ValueError("shift must be a finite 2-vector")
         shift.flags.writeable = False
         object.__setattr__(self, "shift", shift)

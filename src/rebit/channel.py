@@ -27,11 +27,11 @@ class NotPositiveError(ValueError):
         super().__init__(f"output Bloch vector has norm {norm!r} > 1")
 
 
-def _frozen_array(a, shape) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen_array(a, shape, copy: bool = True) -> np.ndarray:
+    a = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
     if a.shape != shape:
         raise ValueError(f"expected shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("entries must be finite")
     a.flags.writeable = False
     return a
@@ -47,6 +47,24 @@ class AffineChannel:
     def __post_init__(self):
         object.__setattr__(self, "a", _frozen_array(self.a, (2, 2)))
         object.__setattr__(self, "w", _frozen_array(self.w, (2,)))
+
+    @classmethod
+    def stacked(cls, a, w) -> list["AffineChannel"]:
+        """Channels over the rows of stacked linear parts (n, 2, 2) and shifts (n, 2).
+
+        The stacks are checked once and frozen in place, not copied: each
+        channel holds read-only row views of them, so the caller hands float
+        arrays over and must not write to them through another reference.
+        """
+        a = _frozen_array(a, (len(a), 2, 2), copy=False)
+        w = _frozen_array(w, (len(a), 2), copy=False)
+        channels = []
+        for row_a, row_w in zip(a, w):
+            channel = object.__new__(cls)
+            object.__setattr__(channel, "a", row_a)
+            object.__setattr__(channel, "w", row_w)
+            channels.append(channel)
+        return channels
 
     @classmethod
     def identity(cls) -> "AffineChannel":

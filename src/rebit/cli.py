@@ -14,7 +14,7 @@ import numpy as np
 
 from .canonical import decompose_channel, reconstruction_residual
 from .channel import AffineChannel
-from .classify import classify_report, sample_cp_channels
+from .classify import CHUNK, classify_report, sample_cp_channels
 from .cp import is_cp
 from .render import disk_figure_svg, region_figure_svg
 from .verify import run_verify
@@ -99,9 +99,9 @@ def cmd_region(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    for _ in range(args.count):  # one draw at a time keeps memory flat in --count
-        (channel,) = sample_cp_channels(rng, 1, unital=args.unital)
-        print(json.dumps(channel.to_json_dict()))
+    for start in range(0, args.count, CHUNK):  # one chunk at a time keeps memory flat in --count
+        for channel in sample_cp_channels(rng, min(CHUNK, args.count - start), unital=args.unital):
+            print(json.dumps(channel.to_json_dict()))
     return EXIT_OK
 
 

@@ -207,3 +207,26 @@ def test_channel_rejects_nonfinite_entries():
 def test_channel_arrays_are_frozen():
     with pytest.raises(ValueError):
         IDENTITY.a[0, 0] = 2.0
+
+
+def test_stacked_channels_equal_one_by_one_construction():
+    rng = np.random.default_rng(16)
+    a, w = rng.uniform(-0.5, 0.5, (5, 2, 2)), rng.uniform(-0.2, 0.2, (5, 2))
+    expected = [AffineChannel(x, y) for x, y in zip(a, w)]
+    stacked = AffineChannel.stacked(a, w)
+    assert not a.flags.writeable and not w.flags.writeable  # frozen in place
+    for channel, one in zip(stacked, expected, strict=True):
+        assert np.array_equal(channel.a, one.a) and np.array_equal(channel.w, one.w)
+        assert not channel.a.flags.writeable and not channel.w.flags.writeable
+    assert AffineChannel.stacked(np.zeros((0, 2, 2)), np.zeros((0, 2))) == []
+
+
+@pytest.mark.parametrize("a, w", [
+    (np.zeros((2, 2, 2)), np.zeros((3, 2))),
+    (np.zeros((2, 2, 3)), np.zeros((2, 2))),
+    (np.full((2, 2, 2), np.nan), np.zeros((2, 2))),
+    (np.zeros((2, 2, 2)), np.array([[0.0, 0.0], [np.inf, 0.0]])),
+])
+def test_stacked_channels_reject_bad_stacks(a, w):
+    with pytest.raises(ValueError):
+        AffineChannel.stacked(a, w)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,6 +7,10 @@ import pytest
 from rebit.bloch import bloch_from_density, state_polar
 from rebit.channel import AffineChannel, apply, as_affine, compose, orthogonal_channel
 from rebit.classify import (
+    ACCEPT,
+    CHUNK,
+    REJECT,
+    UNDECIDED,
     CompletelyDepolarizing,
     Depolarizing,
     General,
@@ -20,12 +25,15 @@ from rebit.classify import (
     rank_at,
     sample_cp_channel,
     sample_cp_channels,
+    _peak_norm_bounds,
     _sample_shift,
+    _shift_verdicts,
 )
-from rebit.cp import is_cp
-from rebit.linalg import rotation_matrix
+from rebit.cp import is_cp, q_values, shift_region_contains
+from rebit.linalg import TAU, rotation_matrix
 
 DIAG = AffineChannel.diagonal
+classify_module = importlib.import_module("rebit.classify")  # the package attribute is the function
 
 
 def test_kraus_rank_vertex_edge_interior():
@@ -223,3 +231,165 @@ def test_boundary_images_satisfy_ellipse_equation():
             residual = abs((u[0] / a1) ** 2 + (u[1] / a2) ** 2 - 1.0)
             assert residual <= 1e-9
         checked += 1
+
+
+def reference_channel(rng: np.random.Generator, unital: bool) -> AffineChannel:
+    """The one-at-a-time rejection sampler that the batched one reproduces bit for bit."""
+    while True:
+        lam1, lam2 = rng.uniform(-1.0, 1.0, 2)
+        if min(q_values(lam1, lam2)) >= 0.0:
+            break
+    hi, lo = max(abs(lam1), abs(lam2)), min(abs(lam1), abs(lam2))
+    if lam1 * lam2 < 0.0:
+        lo = -lo
+    shift = np.zeros(2)
+    if not unital:
+        a1, a2 = abs(hi), abs(lo)
+        b1, b2 = max(0.0, 1.0 - a1), max(0.0, 1.0 - a2)
+        while True:
+            shift = np.array([rng.uniform(-b1, b1), rng.uniform(-b2, b2)])
+            _, margin = shift_region_contains(hi, lo, shift[0], shift[1])
+            if margin >= 0.0 and ellipse_peak_norm(shift, (a1, a2)) <= 1.0:
+                break
+    theta1, theta2 = rng.uniform(0.0, TAU, 2)
+    r1 = rotation_matrix(theta1)
+    return AffineChannel(r1 @ np.diag([hi, lo]) @ rotation_matrix(theta2), r1 @ shift)
+
+
+def assert_same_stream(seed: int, count: int, unital: bool) -> None:
+    """sample_cp_channels against the reference: equal bytes, and the generators end in step."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = sample_cp_channels(rng, count, unital)
+    reference = [reference_channel(ref_rng, unital) for _ in range(count)]
+    assert len(batch) == count
+    for got, want in zip(batch, reference):
+        assert got.a.tobytes() == want.a.tobytes()
+        assert got.w.tobytes() == want.w.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_sampler_matches_the_one_at_a_time_reference(seed, count, unital):
+    assert_same_stream(seed, count, unital)
+
+
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_sampler_stream_does_not_depend_on_the_chunk_size(monkeypatch, chunk, unital):
+    rng = np.random.default_rng(8)
+    expected = sample_cp_channels(rng, 40, unital)
+    monkeypatch.setattr(classify_module, "CHUNK", chunk)
+    chunked_rng = np.random.default_rng(8)
+    chunked = sample_cp_channels(chunked_rng, 40, unital)
+    for got, want in zip(chunked, expected, strict=True):
+        assert got.a.tobytes() == want.a.tobytes() and got.w.tobytes() == want.w.tobytes()
+    assert chunked_rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("seed", [12, 13, 14])
+def test_sampler_stream_survives_blocks_that_run_out(monkeypatch, seed, unital):
+    # blocks of one pair per channel asked for run out long before their chunk
+    # is full, some of them on a last pair that lands in the pentagon
+    blocks = []
+
+    def counted(rng, a, w, unital):
+        blocks.append(len(a))
+        return sample_chunk(rng, a, w, unital)
+
+    sample_chunk = classify_module._sample_chunk
+    monkeypatch.setattr(classify_module, "PAIRS_PER_CHANNEL", 1)
+    monkeypatch.setattr(classify_module, "_sample_chunk", counted)
+    assert_same_stream(seed, CHUNK + 40, unital)
+    assert len(blocks) > 2  # 2 without running out: CHUNK, then 40
+
+
+def test_sampler_finishes_long_shift_searches_with_the_scalar_loop(monkeypatch):
+    # with one shift try evaluated per pentagon pair, every channel whose
+    # first try misses goes through _sample_shift
+    tails = []
+
+    def counted(rng, lam1, lam2):
+        tails.append((lam1, lam2))
+        return _sample_shift(rng, lam1, lam2)
+
+    monkeypatch.setattr(classify_module, "LOOKAHEAD", 1)
+    monkeypatch.setattr(classify_module, "_sample_shift", counted)
+    assert_same_stream(11, 120, unital=False)
+    assert len(tails) > 10
+
+
+def test_sampled_channels_are_read_only_and_finite():
+    for channel in sample_cp_channels(np.random.default_rng(12), 300):
+        for part in (channel.a, channel.w):
+            assert not part.flags.writeable and np.isfinite(part).all()
+            with pytest.raises(ValueError):
+                part[0] = 0.5
+
+
+def random_ellipses(rng: np.random.Generator, n: int):
+    """Semi-axes a1 >= a2 >= 0 and shifts inside the sampler's box, with exact zeros mixed in."""
+    a1 = rng.uniform(0.0, 1.0, n)
+    a2 = a1 * rng.uniform(0.0, 1.0, n)
+    s1 = (1.0 - a1) * rng.uniform(-1.0, 1.0, n)
+    s2 = (1.0 - a2) * rng.uniform(-1.0, 1.0, n)
+    a2[::7] = 0.0
+    a2[1::7] = a1[1::7]
+    s1[2::7] = 0.0
+    s2[3::7] = 0.0
+    return a1, a2, s1, s2
+
+
+def test_peak_norm_bounds_enclose_the_exact_peak_norm():
+    a1, a2, s1, s2 = random_ellipses(np.random.default_rng(55), 3000)
+    lower, upper = _peak_norm_bounds(s1, s2, a1, a2)
+    exact = np.array([ellipse_peak_norm(s, axes) for s, axes in zip(zip(s1, s2), zip(a1, a2))])
+    assert np.all(lower <= exact * (1.0 + 1e-15))
+    assert np.all(exact <= upper * (1.0 + 1e-15))
+    assert np.median(upper - lower) < 1e-9  # tight enough that the exact call is rare
+
+
+def resolved(lam1, lam2, s1, s2) -> list[bool]:
+    """The batched shift decision: the verdict, or the exact peak norm where it is UNDECIDED."""
+    verdicts = _shift_verdicts(lam1, lam2, s1, s2)
+    return [
+        v == ACCEPT or (v == UNDECIDED and ellipse_peak_norm((x, y), (l1, abs(l2))) <= 1.0)
+        for v, l1, l2, x, y in zip(verdicts, lam1, lam2, s1, s2)
+    ]
+
+
+def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
+    """The shift test of _sample_shift, one try at a time."""
+    decisions = []
+    for l1, l2, x, y in zip(lam1, lam2, s1, s2):
+        _, margin = shift_region_contains(l1, l2, x, y)
+        decisions.append(bool(margin >= 0.0 and ellipse_peak_norm(np.array([x, y]), (abs(l1), abs(l2))) <= 1.0))
+    return decisions
+
+
+def test_shift_verdicts_defer_to_the_exact_peak_norm_on_the_rim():
+    # shifts whose image touches the unit circle up to rounding: circles
+    # (lam1 = lam2) centred at distance 1 - lam1, and ellipses shifted
+    # along their major axis by 1 - lam1
+    rng = np.random.default_rng(56)
+    n = 2000
+    lam1 = rng.uniform(0.0, 0.95, n)
+    phi = rng.uniform(0.0, TAU, n)
+    lam2 = np.where(np.arange(n) % 2 == 0, lam1, lam1 * rng.uniform(-1.0, 1.0, n))
+    s1 = np.where(lam2 == lam1, (1.0 - lam1) * np.cos(phi), np.copysign(1.0 - lam1, np.cos(phi)))
+    s2 = np.where(lam2 == lam1, (1.0 - lam1) * np.sin(phi), 0.0)
+    verdicts = _shift_verdicts(lam1, lam2, s1, s2)
+    assert np.count_nonzero(verdicts == UNDECIDED) > n // 4
+    exact = scalar_decision(lam1, lam2, s1, s2)
+    assert 0 < sum(exact) < n
+    assert resolved(lam1, lam2, s1, s2) == exact
+
+
+def test_shift_verdicts_match_the_scalar_decision_off_the_rim():
+    a1, a2, s1, s2 = random_ellipses(np.random.default_rng(57), 3000)
+    lam2 = np.where(np.arange(3000) % 2 == 0, a2, -a2)
+    verdicts = _shift_verdicts(a1, lam2, s1, s2)
+    assert np.count_nonzero(verdicts == REJECT) and np.count_nonzero(verdicts == ACCEPT)
+    assert resolved(a1, lam2, s1, s2) == scalar_decision(a1, lam2, s1, s2)
