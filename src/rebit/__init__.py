@@ -42,7 +42,6 @@ from .classify import (
     ellipse_peak_norm,
     image_ellipse,
     kraus_rank,
-    rank_at,
     sample_cp_channel,
     sample_cp_channels,
 )
@@ -50,7 +49,6 @@ from .cp import (
     CpReport,
     admissible_pentagon,
     charpoly_coeffs,
-    chi_general,
     chi_matrix,
     diagonal_frame,
     is_cp,
@@ -90,7 +88,6 @@ __all__ = [
     "bloch_from_density",
     "canonical_decompose",
     "charpoly_coeffs",
-    "chi_general",
     "chi_matrix",
     "classify",
     "compose",
@@ -106,7 +103,6 @@ __all__ = [
     "kraus_rank",
     "orthogonal_channel",
     "q_values",
-    "rank_at",
     "reconstruct",
     "rotation_channel",
     "rotation_matrix",

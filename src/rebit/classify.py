@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, decompose_channel
+from .canonical import CanonicalForm, _pick, decompose_channel
 from .channel import AffineChannel, is_unital
-from .cp import CpReport, chi_matrix, chi_rank, is_cp, q_values, shift_region_contains
+from .cp import CpReport, is_cp, q_values, shift_region_contains
 from .linalg import TAU
 
 CLASS_TOL = 1e-9
@@ -151,39 +151,70 @@ def image_ellipse(channel: AffineChannel) -> ImageEllipse:
     return ImageEllipse.from_form(channel, decompose_channel(channel))
 
 
+NEWTON_STEPS = 8  # 3 reach the quartic's value on the tests' ellipses; 8 leave a margin
+
+
+def _peak_norm(s1, s2, a1, a2, ops):
+    """Largest norm of s + (a1 x, a2 y) over the unit circle, a1 >= a2 >= 0; floats or arrays.
+
+    On the circle |s + (a1 x, a2 y)|^2 = |s|^2 + a2^2 + d x^2 + 2 (b1 x + b2
+    y), with d = a1^2 - a2^2 and b = (a1 s1, a2 s2).  Its maximum is a
+    trust-region problem with strong duality: the maximizer is the point p(nu)
+    = (b1/nu, b2/(nu + d)) at the nu >= 0 where |p(nu)| = 1.  Newton's method
+    on 1/|p(nu)| - 1, which is concave and increasing, rises to that root
+    monotonically from nu = max(|b1|, |b| - d), where |p| >= 1 (More and
+    Sorensen, 1983).  In the hard case, b1 = 0 with |p(0)| < 1, the maximizer
+    is (sqrt(1 - y^2), y) instead.  The peak is the norm of the ellipse point
+    at the maximizer.
+
+    ``ops`` is ``(sqrt, maximum, select)``: FLOAT_OPS for Python floats,
+    ARRAY_OPS for numpy arrays.  Only + - * /, sqrt, maximum and the select
+    are used, which numpy rounds exactly as Python does, so both give the same
+    bits.  The floors keep every array lane free of division by zero.
+    """
+    sqrt, maximum, select = ops
+    b1, b2 = a1 * s1, a2 * s2
+    d = (a1 - a2) * (a1 + a2)
+    nu = maximum(maximum(abs(b1), sqrt(b1 * b1 + b2 * b2) - d), 1e-300)
+    for _ in range(NEWTON_STEPS):
+        e = nu + d
+        x, y = b1 / nu, b2 / e
+        xx, yy = x * x, y * y
+        n2 = xx + yy
+        nu = maximum(nu, nu + (sqrt(n2) - 1.0) * n2 / (xx / nu + yy / e + 1e-300))
+    x, y = b1 / nu, b2 / (nu + d)
+    n = sqrt(x * x + y * y)
+    hard = (b1 == 0.0) & (n < 1.0)
+    n = maximum(n, 1e-300)
+    x, y = select(hard, sqrt(maximum(1.0 - y * y, 0.0)), x / n), select(hard, y, y / n)
+    p1, p2 = s1 + a1 * x, s2 + a2 * y
+    return sqrt(p1 * p1 + p2 * p2)
+
+
+# The operations that run :func:`_peak_norm` on Python floats and,
+# elementwise, on numpy arrays.
+FLOAT_OPS = (math.sqrt, max, _pick)
+ARRAY_OPS = (np.sqrt, np.maximum, np.where)
+
+
 def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> float:
     """Largest distance from the origin to an axis-aligned ellipse boundary.
 
-    Exact: the stationary points of |center + (a1 cos t, a2 sin t)|^2 solve a
-    quartic in tan(t/2), so the maximum is taken over its real roots plus the
-    axis angles.  Degenerate axes (segments, points) are covered by the same
-    candidates.
+    Exact up to rounding: :func:`_peak_norm` on Python floats, with the axes
+    ordered larger first (swapping them swaps the centre's coordinates).
+    Degenerate axes (segments, points) need no special case.
     """
     c1, c2 = float(center[0]), float(center[1])
-    a1, a2 = semi_axes
-    big_a = a2 * c2
-    big_b = a1 * c1
-    kappa = 0.5 * (a2 * a2 - a1 * a1)
-    coeffs = np.array([-big_a, -2.0 * big_b - 4.0 * kappa, 0.0, -2.0 * big_b + 4.0 * kappa, big_a])
-    candidates = [0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi]
-    nonzero = np.nonzero(coeffs)[0]
-    if nonzero.size:
-        trimmed = coeffs[nonzero[0]:]
-        if trimmed.size > 1:
-            for root in np.roots(trimmed):
-                if abs(root.imag) < 1e-9:
-                    candidates.append(2.0 * math.atan(float(root.real)))
-    return max(
-        math.hypot(c1 + a1 * math.cos(phi), c2 + a2 * math.sin(phi)) for phi in candidates
-    )
+    a1, a2 = abs(float(semi_axes[0])), abs(float(semi_axes[1]))
+    if a1 < a2:
+        c1, c2, a1, a2 = c2, c1, a2, a1
+    return _peak_norm(c1, c2, a1, a2, FLOAT_OPS)
 
 
 CHUNK = 256  # channels drawn from one block and built together: bounds the sampler's memory
 PAIRS_PER_CHANNEL = 6  # block size: a channel takes about 4.6 pairs of draws (2.6 if unital)
 HEAD = 4  # shift tries evaluated after every pentagon pair; most searches end within them
-LOOKAHEAD = 64  # shift tries evaluated when the first HEAD hold no sure accept; then _sample_shift
-PEAK_BAND = 1e-12  # the peak-norm bounds decide a shift only outside [1 - PEAK_BAND, 1 + PEAK_BAND]
-REJECT, ACCEPT, UNDECIDED = 0, 1, 2
+LOOKAHEAD = 64  # shift tries evaluated when the first HEAD hold no admissible one; then _sample_shift
 
 
 def _uniform(low, high, u):
@@ -214,68 +245,26 @@ def _shift_from(u: np.ndarray, k, lam1, lam2) -> tuple:
     return _uniform(-b1, b1, u[k, 0]), _uniform(-b2, b2, u[k, 1])
 
 
-def _peak_norm_bounds(s1, s2, a1, a2) -> tuple:
-    """Lower and upper bounds on ``ellipse_peak_norm((s1, s2), (a1, a2))``, a1 >= a2 >= 0; arrays.
+def _admissible(lam1, lam2, s1, s2):
+    """Whether each shift try of :func:`_sample_shift` is admissible, over arrays; lam1 >= |lam2|.
 
-    On the unit circle |s + (a1 x, a2 y)|^2 = |s|^2 + a2^2 + d x^2 + 2 (b1 x
-    + b2 y), with d = a1^2 - a2^2 and b = (a1 s1, a2 s2).  Adding (d + nu)(1
-    - x^2 - y^2) = 0 for any nu > 0 and maximizing over the whole plane bounds
-    it by |s|^2 + a2^2 + d + nu + b1^2/nu + b2^2/(nu + d), with equality at
-    the nu where (b1/nu, b2/(nu + d)) is a unit vector (Lagrangian duality for
-    a quadratic on the circle).  That nu is at least |b1| and at least |b| -
-    d; the larger of the two makes the bound nearly tight.  The ellipse point
-    in the direction of (b1/nu, b2/(nu + d)) gives the lower bound, or the
-    centre s when b = 0: the norm is convex, so no point of the filled
-    ellipse is farther out than its boundary.
-    """
-    b1, b2 = a1 * s1, a2 * s2
-    d = (a1 - a2) * (a1 + a2)
-    nu = np.maximum(np.maximum(abs(b1), np.hypot(b1, b2) - d), 1e-300)
-    x, y = b1 / nu, b2 / (nu + d)
-    upper = np.sqrt(s1 * s1 + s2 * s2 + a2 * a2 + d + nu + b1 * x + b2 * y)
-    n = np.maximum(np.hypot(x, y), 1e-300)
-    return np.hypot(s1 + a1 * x / n, s2 + a2 * y / n), upper
-
-
-def _shift_verdicts(lam1, lam2, s1, s2) -> np.ndarray:
-    """REJECT, ACCEPT or UNDECIDED for each shift try of :func:`_sample_shift`, over arrays.
-
-    Requires lam1 >= |lam2|.  The margin test is the one of
-    :func:`_sample_shift`.  The test ``ellipse_peak_norm <= 1`` is decided by
-    :func:`_peak_norm_bounds` outside a band of PEAK_BAND around 1, which
-    covers their rounding, and left UNDECIDED inside it.
+    The decision of :func:`_sample_shift`, bit for bit: margin >= 0 and a
+    peak norm of at most 1.
     """
     _, margin = shift_region_contains(lam1, lam2, s1, s2)
-    lower, upper = _peak_norm_bounds(s1, s2, lam1, abs(lam2))
-    peak = np.where(upper < 1.0 - PEAK_BAND, ACCEPT, np.where(lower > 1.0 + PEAK_BAND, REJECT, UNDECIDED))
-    return np.where(margin >= 0.0, peak, REJECT)
+    return (margin >= 0.0) & (_peak_norm(s1, s2, lam1, abs(lam2), ARRAY_OPS) <= 1.0)
 
 
-def _window_verdicts(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int, stop: int) -> np.ndarray:
-    """Verdicts of the shift tries ``first`` to ``stop - 1`` after each start, one row per start.
+def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int, stop: int) -> np.ndarray:
+    """Offset of the first admissible shift try among tries ``first`` to ``stop - 1`` after each start, or -1.
 
-    A try whose rotation pair would fall outside the block is a REJECT.
+    A try whose rotation pair would fall outside the block is not admissible.
     """
     tries = starts[:, None] + np.arange(first + 1, stop + 1)
     in_block = tries < len(u) - 1
     tries = np.minimum(tries, len(u) - 1)
-    verdicts = _shift_verdicts(lam1[:, None], lam2[:, None], *_shift_from(u, tries, lam1[:, None], lam2[:, None]))
-    return np.where(in_block, verdicts, REJECT)
-
-
-def _first_shift(u: np.ndarray, start: int, verdicts: np.ndarray, lam1, lam2) -> int:
-    """Offset of the first admissible shift try after pentagon pair ``start``, or -1.
-
-    ``verdicts`` are the tries' :func:`_shift_verdicts`; an UNDECIDED try is
-    decided by the exact :func:`ellipse_peak_norm`.
-    """
-    for offset in np.flatnonzero(verdicts).tolist():
-        if verdicts[offset] == ACCEPT:
-            return offset
-        shift = _shift_from(u, start + 1 + offset, lam1, lam2)
-        if ellipse_peak_norm(shift, (lam1, abs(lam2))) <= 1.0:
-            return offset
-    return -1
+    ok = in_block & _admissible(lam1[:, None], lam2[:, None], *_shift_from(u, tries, lam1[:, None], lam2[:, None]))
+    return np.where(ok.any(axis=1), first + ok.argmax(axis=1), -1)
 
 
 def _rotations(theta: np.ndarray) -> np.ndarray:
@@ -308,9 +297,13 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     tries until one lands in the pentagon (pair j), then, unless unital,
     shift tries until one is admissible (pair k; k = j when unital), then its
     two rotation angles (pair k + 1); the next channel starts at pair k + 2.
-    The block is evaluated with numpy and walked in that order.  A shift
-    search that finds nothing in the LOOKAHEAD pairs after j, or in the
-    block, ends the chunk and is finished by :func:`_sample_shift`.  The
+    The block is evaluated with numpy and walked in that order.  Shift tries
+    are decided by :func:`_admissible`, the exact test of
+    :func:`_sample_shift`: the HEAD tries after every pentagon pair at once,
+    then the rest of the LOOKAHEAD window for the rows with no admissible try
+    among them.  A shift search that finds nothing in the LOOKAHEAD pairs
+    after j, or in the block, ends the chunk and is finished by
+    :func:`_sample_shift`.  The
     generator is rewound and advanced over exactly the doubles the channels
     used, so it ends where the one-at-a-time sampler leaves it.
     """
@@ -330,10 +323,8 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     lo = np.where(l1 * l2 < 0.0, -lo, lo)
     if not unital:
         head = min(HEAD, LOOKAHEAD)
-        verdicts = np.full((len(starts), LOOKAHEAD), REJECT, dtype=np.int8)
-        verdicts[:, :head] = _window_verdicts(u, starts, hi, lo, 0, head)
-        unsure = ~(verdicts[:, :head] == ACCEPT).any(axis=1)  # rows that may need the whole window
-        whole = head == LOOKAHEAD  # whether the unsure rows have their whole window
+        offsets = _first_admissible(u, starts, hi, lo, 0, head)
+        whole = head == LOOKAHEAD  # whether rows with no admissible try have their whole window
 
     rows, shift_pairs = [], []
     tail = None
@@ -343,13 +334,13 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
             continue
         k = j
         if not unital:
-            if unsure[row] and not whole:
-                # at the first unsure row the walk reaches, evaluate the rest
-                # of the window for it and every unsure row after it at once
-                later = row + np.flatnonzero(unsure[row:])
-                verdicts[later, head:] = _window_verdicts(u, starts[later], hi[later], lo[later], head, LOOKAHEAD)
+            if offsets[row] < 0 and not whole:
+                # at the first such row the walk reaches, search the rest of
+                # the window for it and every such row after it at once
+                later = row + np.flatnonzero(offsets[row:] < 0)
+                offsets[later] = _first_admissible(u, starts[later], hi[later], lo[later], head, LOOKAHEAD)
                 whole = True
-            offset = _first_shift(u, j, verdicts[row], hi[row], lo[row])
+            offset = int(offsets[row])
             if offset < 0:
                 rng.bit_generator.state = state
                 rng.random(2 * (j + 1))
@@ -410,8 +401,3 @@ def sample_cp_channels(rng: np.random.Generator, count: int, unital: bool = Fals
     while done < count:
         done += _sample_chunk(rng, a[done:done + CHUNK], w[done:done + CHUNK], unital)
     return AffineChannel.stacked(a, w)
-
-
-def rank_at(lam1: float, lam2: float) -> int:
-    """Kraus rank of the unital diagonal map at literal pentagon coordinates."""
-    return chi_rank(chi_matrix(lam1, lam2))

@@ -8,6 +8,7 @@ positivity gate, 1 malformed input or system error.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -166,7 +167,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``rebit sample ... | head``); point
+        # stdout at devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_INPUT)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,12 +22,8 @@ coefficients, the frame the rank taxonomy lives in; everything else is
 routed through the canonical factorization first.
 """
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bloch import SIGMA_0, SIGMA_1, SIGMA_2
 from .canonical import decompose_channel
 from .channel import AffineChannel
 from .linalg import Sym3, eig_sym3
@@ -56,33 +52,6 @@ def chi_entries(lam1, lam2, w1=0.0, w2=0.0) -> tuple:
 def chi_matrix(lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) -> Sym3:
     """Chi matrix of the diagonal map, assembled entrywise."""
     return Sym3(*chi_entries(lam1, lam2, w1, w2))
-
-
-def chi_general(channel: AffineChannel) -> Sym3:
-    """Chi matrix computed from the defining trace sums.
-
-    chi_rs = 1/4 * sum_k Tr[sigma_s sigma_k sigma_r C(sigma_k)] with
-    C(sigma_0) = I + w1 sigma_1 + w2 sigma_2 and C(sigma_j) = lam_j sigma_j.
-    Only diagonal channels are accepted; decompose first otherwise.  Agrees
-    with :func:`chi_matrix` to machine precision and serves as its
-    independent derivation route in the tests.
-    """
-    a = channel.a
-    if abs(a[0, 1]) > DIAGONAL_TOL or abs(a[1, 0]) > DIAGONAL_TOL:
-        raise ValueError("chi_general requires a diagonal channel; decompose first")
-    sig = (SIGMA_0, SIGMA_1, SIGMA_2)
-    images = (
-        SIGMA_0 + channel.w[0] * SIGMA_1 + channel.w[1] * SIGMA_2,
-        a[0, 0] * SIGMA_1,
-        a[1, 1] * SIGMA_2,
-    )
-    chi = np.zeros((3, 3))
-    for r in range(3):
-        for s in range(3):
-            chi[r, s] = 0.25 * math.fsum(
-                np.trace(sig[s] @ sig[k] @ sig[r] @ images[k]) for k in range(3)
-            )
-    return Sym3.from_matrix(chi)
 
 
 def q_values(lam1: float, lam2: float) -> tuple[float, float, float]:

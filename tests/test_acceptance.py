@@ -11,9 +11,9 @@ import numpy as np
 from rebit.bloch import state_polar
 from rebit.canonical import decompose_channel, reconstruction_residual
 from rebit.channel import AffineChannel, rotation_channel
-from rebit.classify import ellipse_peak_norm, image_ellipse, rank_at, sample_cp_channels
+from rebit.classify import ellipse_peak_norm, image_ellipse, sample_cp_channels
 from rebit.cli import main
-from rebit.cp import charpoly_coeffs, chi_matrix, q_values, shift_region_contains
+from rebit.cp import charpoly_coeffs, chi_matrix, chi_rank, q_values, shift_region_contains
 from rebit.linalg import eig_sym3, rotation_matrix
 
 from test_cli import GOLDEN, NAMED_CHANNELS
@@ -109,19 +109,19 @@ def test_criterion_4_decomposition_roundtrip():
 def test_criterion_5_rank_stratification():
     failures = 0
     for lam1, lam2, expected in [(-1.0, 0.0, 1), (0.0, -1.0, 1)]:
-        if rank_at(lam1, lam2) != expected:
+        if chi_rank(chi_matrix(lam1, lam2)) != expected:
             failures += 1
     rng = np.random.default_rng(5)
     for _ in range(100):
         t = rng.uniform(0.0, 1.0)
         for lam1, lam2 in [(-1.0 + t, -t), (t, t - 1.0), (-1.0 + t, t)]:
-            if rank_at(lam1, lam2) != 2:
+            if chi_rank(chi_matrix(lam1, lam2)) != 2:
                 failures += 1
     interior = 0
     while interior < 100:
         lam1, lam2 = rng.uniform(-1.0, 1.0, 2)
         if min(q_values(lam1, lam2)) > 1e-3:
-            if rank_at(lam1, lam2) != 3:
+            if chi_rank(chi_matrix(lam1, lam2)) != 3:
                 failures += 1
             interior += 1
     ok = failures == 0

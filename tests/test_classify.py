@@ -7,10 +7,9 @@ import pytest
 from rebit.bloch import bloch_from_density, state_polar
 from rebit.channel import AffineChannel, apply, as_affine, compose, orthogonal_channel
 from rebit.classify import (
-    ACCEPT,
+    ARRAY_OPS,
     CHUNK,
-    REJECT,
-    UNDECIDED,
+    FLOAT_OPS,
     CompletelyDepolarizing,
     Depolarizing,
     General,
@@ -22,14 +21,13 @@ from rebit.classify import (
     ellipse_peak_norm,
     image_ellipse,
     kraus_rank,
-    rank_at,
     sample_cp_channel,
     sample_cp_channels,
-    _peak_norm_bounds,
+    _admissible,
+    _peak_norm,
     _sample_shift,
-    _shift_verdicts,
 )
-from rebit.cp import is_cp, q_values, shift_region_contains
+from rebit.cp import chi_matrix, chi_rank, is_cp, q_values, shift_region_contains
 from rebit.linalg import TAU, rotation_matrix
 
 DIAG = AffineChannel.diagonal
@@ -109,21 +107,21 @@ def test_classify_invariant_under_dressing():
 
 
 def test_rank_stratification_on_pentagon():
-    assert rank_at(-1.0, 0.0) == 1
-    assert rank_at(0.0, -1.0) == 1
+    assert chi_rank(chi_matrix(-1.0, 0.0)) == 1
+    assert chi_rank(chi_matrix(0.0, -1.0)) == 1
     rng = np.random.default_rng(51)
     for _ in range(100):
         t = rng.uniform(0.0, 1.0)
         # the three diagonal edges, parameterized exactly
-        assert rank_at(-1.0 + t, -t) == 2          # lam2 = -lam1 - 1
-        assert rank_at(t, t - 1.0) == 2            # lam2 = lam1 - 1
-        assert rank_at(-1.0 + t, t) == 2           # lam2 = lam1 + 1
+        assert chi_rank(chi_matrix(-1.0 + t, -t)) == 2  # lam2 = -lam1 - 1
+        assert chi_rank(chi_matrix(t, t - 1.0)) == 2  # lam2 = lam1 - 1
+        assert chi_rank(chi_matrix(-1.0 + t, t)) == 2  # lam2 = lam1 + 1
     interior = 0
     while interior < 100:
         lam1, lam2 = rng.uniform(-1.0, 1.0, 2)
         q = (1 + lam1 + lam2, 1 + lam1 - lam2, 1 - lam1 + lam2)
         if min(q) > 1e-3:
-            assert rank_at(lam1, lam2) == 3
+            assert chi_rank(chi_matrix(lam1, lam2)) == 3
             interior += 1
 
 
@@ -144,6 +142,33 @@ def test_image_ellipse_tilt_tracks_left_rotation():
     ellipse = image_ellipse(AffineChannel(a, np.zeros(2)))
     assert ellipse.tilt == pytest.approx(0.7)
     assert ellipse.semi_axes == pytest.approx((0.6, 0.2))
+
+
+def quartic_peak_norm(center, semi_axes) -> float:
+    """Largest distance from the origin to an axis-aligned ellipse boundary, from a quartic.
+
+    The stationary points of |center + (a1 cos t, a2 sin t)|^2 solve a quartic
+    in tan(t/2), so the maximum is taken over its real roots plus the axis
+    angles; degenerate axes are covered by the same candidates.  The reference
+    that the secular-equation peak norm is checked against.
+    """
+    c1, c2 = float(center[0]), float(center[1])
+    a1, a2 = semi_axes
+    big_a = a2 * c2
+    big_b = a1 * c1
+    kappa = 0.5 * (a2 * a2 - a1 * a1)
+    coeffs = np.array([-big_a, -2.0 * big_b - 4.0 * kappa, 0.0, -2.0 * big_b + 4.0 * kappa, big_a])
+    candidates = [0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi]
+    nonzero = np.nonzero(coeffs)[0]
+    if nonzero.size:
+        trimmed = coeffs[nonzero[0]:]
+        if trimmed.size > 1:
+            for root in np.roots(trimmed):
+                if abs(root.imag) < 1e-9:
+                    candidates.append(2.0 * math.atan(float(root.real)))
+    return max(
+        math.hypot(c1 + a1 * math.cos(phi), c2 + a2 * math.sin(phi)) for phi in candidates
+    )
 
 
 def test_ellipse_peak_norm_against_dense_grid():
@@ -342,22 +367,26 @@ def random_ellipses(rng: np.random.Generator, n: int):
     return a1, a2, s1, s2
 
 
-def test_peak_norm_bounds_enclose_the_exact_peak_norm():
+def test_peak_norm_matches_the_quartic_on_floats_and_arrays():
     a1, a2, s1, s2 = random_ellipses(np.random.default_rng(55), 3000)
-    lower, upper = _peak_norm_bounds(s1, s2, a1, a2)
-    exact = np.array([ellipse_peak_norm(s, axes) for s, axes in zip(zip(s1, s2), zip(a1, a2))])
-    assert np.all(lower <= exact * (1.0 + 1e-15))
-    assert np.all(exact <= upper * (1.0 + 1e-15))
-    assert np.median(upper - lower) < 1e-9  # tight enough that the exact call is rare
-
-
-def resolved(lam1, lam2, s1, s2) -> list[bool]:
-    """The batched shift decision: the verdict, or the exact peak norm where it is UNDECIDED."""
-    verdicts = _shift_verdicts(lam1, lam2, s1, s2)
-    return [
-        v == ACCEPT or (v == UNDECIDED and ellipse_peak_norm((x, y), (l1, abs(l2))) <= 1.0)
-        for v, l1, l2, x, y in zip(verdicts, lam1, lam2, s1, s2)
-    ]
+    # hard cases: b1 = 0 with |b2| < a1^2 - a2^2, where the maximizer is not p(nu)
+    a2[4::7] = 0.5 * a1[4::7]
+    s1[4::7] = 0.0
+    # shifts along the minor axis of near-circles, where b2 / (nu + d) can round past 1
+    a2[5::7] = 0.95 * a1[5::7]
+    s1[5::7] = 0.0
+    # b = 0: a centred ellipse
+    s1[6::7] = s2[6::7] = 0.0
+    hard = (s1 == 0.0) & (abs(a2 * s2) < a1 * a1 - a2 * a2)
+    assert np.count_nonzero(hard) > 200
+    exact = np.array([quartic_peak_norm(s, axes) for s, axes in zip(zip(s1, s2), zip(a1, a2))])
+    peak = _peak_norm(s1, s2, a1, a2, ARRAY_OPS)
+    assert np.abs(peak - exact).max() <= 1e-15
+    scalar = [_peak_norm(*lane, FLOAT_OPS) for lane in zip(s1.tolist(), s2.tolist(), a1.tolist(), a2.tolist())]
+    assert np.array(scalar).tobytes() == peak.tobytes()
+    # ellipse_peak_norm orders the axes itself
+    swapped = np.array([ellipse_peak_norm((y, x), (q, p)) for x, y, p, q in zip(s1, s2, a1, a2)])
+    assert np.abs(swapped - exact).max() <= 1e-15
 
 
 def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
@@ -369,7 +398,7 @@ def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
     return decisions
 
 
-def test_shift_verdicts_defer_to_the_exact_peak_norm_on_the_rim():
+def test_admissible_matches_the_scalar_decision_on_the_rim():
     # shifts whose image touches the unit circle up to rounding: circles
     # (lam1 = lam2) centred at distance 1 - lam1, and ellipses shifted
     # along their major axis by 1 - lam1
@@ -380,16 +409,14 @@ def test_shift_verdicts_defer_to_the_exact_peak_norm_on_the_rim():
     lam2 = np.where(np.arange(n) % 2 == 0, lam1, lam1 * rng.uniform(-1.0, 1.0, n))
     s1 = np.where(lam2 == lam1, (1.0 - lam1) * np.cos(phi), np.copysign(1.0 - lam1, np.cos(phi)))
     s2 = np.where(lam2 == lam1, (1.0 - lam1) * np.sin(phi), 0.0)
-    verdicts = _shift_verdicts(lam1, lam2, s1, s2)
-    assert np.count_nonzero(verdicts == UNDECIDED) > n // 4
     exact = scalar_decision(lam1, lam2, s1, s2)
     assert 0 < sum(exact) < n
-    assert resolved(lam1, lam2, s1, s2) == exact
+    assert _admissible(lam1, lam2, s1, s2).tolist() == exact
 
 
-def test_shift_verdicts_match_the_scalar_decision_off_the_rim():
+def test_admissible_matches_the_scalar_decision_off_the_rim():
     a1, a2, s1, s2 = random_ellipses(np.random.default_rng(57), 3000)
     lam2 = np.where(np.arange(3000) % 2 == 0, a2, -a2)
-    verdicts = _shift_verdicts(a1, lam2, s1, s2)
-    assert np.count_nonzero(verdicts == REJECT) and np.count_nonzero(verdicts == ACCEPT)
-    assert resolved(a1, lam2, s1, s2) == scalar_decision(a1, lam2, s1, s2)
+    admissible = _admissible(a1, lam2, s1, s2)
+    assert admissible.any() and not admissible.all()
+    assert admissible.tolist() == scalar_decision(a1, lam2, s1, s2)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,22 @@ def test_sample_lines_match_the_library_stream(capsys):
     _, out, _ = run_cli(capsys, "sample", "--count", "6", "--seed", "4")
     expected = sample_cp_channels(np.random.default_rng(4), 6)
     assert out.splitlines() == [json.dumps(channel.to_json_dict()) for channel in expected]
+
+
+def test_sample_into_a_closed_pipe_exits_one_without_a_traceback():
+    # as in `rebit sample --count 10000 | head -n 1`: the reader leaves after one line
+    path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rebit.cli", "sample", "--count", "10000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_sample_rejects_bad_count(capsys):

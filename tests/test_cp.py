@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rebit.bloch import SIGMA_0, SIGMA_1, SIGMA_2
 from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel
 from rebit.cp import (
+    DIAGONAL_TOL,
     admissible_pentagon,
     charpoly_coeffs,
-    chi_general,
     chi_matrix,
     closed_form_verdict,
     diagonal_frame,
@@ -15,9 +16,35 @@ from rebit.cp import (
     q_values,
     shift_region_contains,
 )
-from rebit.linalg import eig_sym3, rotation_matrix
+from rebit.linalg import Sym3, eig_sym3, rotation_matrix
 
 DIAG = AffineChannel.diagonal
+
+
+def chi_general(channel: AffineChannel) -> Sym3:
+    """Chi matrix computed from the defining trace sums.
+
+    chi_rs = 1/4 * sum_k Tr[sigma_s sigma_k sigma_r C(sigma_k)] with
+    C(sigma_0) = I + w1 sigma_1 + w2 sigma_2 and C(sigma_j) = lam_j sigma_j.
+    Only diagonal channels are accepted; decompose first otherwise.  The
+    independent derivation route that :func:`chi_matrix` is checked against.
+    """
+    a = channel.a
+    if abs(a[0, 1]) > DIAGONAL_TOL or abs(a[1, 0]) > DIAGONAL_TOL:
+        raise ValueError("chi_general requires a diagonal channel; decompose first")
+    sig = (SIGMA_0, SIGMA_1, SIGMA_2)
+    images = (
+        SIGMA_0 + channel.w[0] * SIGMA_1 + channel.w[1] * SIGMA_2,
+        a[0, 0] * SIGMA_1,
+        a[1, 1] * SIGMA_2,
+    )
+    chi = np.zeros((3, 3))
+    for r in range(3):
+        for s in range(3):
+            chi[r, s] = 0.25 * math.fsum(
+                np.trace(sig[s] @ sig[k] @ sig[r] @ images[k]) for k in range(3)
+            )
+    return Sym3.from_matrix(chi)
 
 
 def test_chi_matrix_identity_point():
