@@ -367,41 +367,65 @@ def random_ellipses(rng: np.random.Generator, n: int):
     return a1, a2, s1, s2
 
 
+def tangent_ellipses(rng: np.random.Generator, n: int):
+    """Ellipses in the sampler's box that osculate the unit circle at (0, 1), nudged sideways.
+
+    a2 = a1^2 (up to a relative 1e-6) and s2 = 1 - a2 put the top of the
+    ellipse on the circle with the circle's curvature; s1 goes down to
+    1e-300.  There b2 ~ a1^2 - a2^2 with a small b1, and the secular root
+    grows as b1^(2/3).
+    """
+    a1 = rng.uniform(0.05, 0.95, n)
+    a2 = a1 * a1 * (1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-6, -1e-6], n))
+    s1 = rng.choice([-1.0, 1.0], n) * (1.0 - a1) * 10.0 ** rng.uniform(-300.0, 0.0, n)
+    s2 = rng.choice([-1.0, 1.0], n) * (1.0 - a2)
+    return a1, a2, s1, s2
+
+
 def test_peak_norm_matches_the_quartic_on_floats_and_arrays():
     a1, a2, s1, s2 = random_ellipses(np.random.default_rng(55), 3000)
-    # hard cases: b1 = 0 with |b2| < a1^2 - a2^2, where the maximizer is not p(nu)
+    # hard cases: b1 = 0 with |b2| < a1^2 - a2^2, where the root is mu = d
     a2[4::7] = 0.5 * a1[4::7]
     s1[4::7] = 0.0
-    # shifts along the minor axis of near-circles, where b2 / (nu + d) can round past 1
+    # shifts along the minor axis of near-circles, mostly with the maximizer at y = 1
     a2[5::7] = 0.95 * a1[5::7]
     s1[5::7] = 0.0
-    # b = 0: a centred ellipse
+    # b = 0: a centred ellipse, every other one a circle, and a point
     s1[6::7] = s2[6::7] = 0.0
+    a2[6::14] = a1[6::14]
+    a1[6] = a2[6] = 0.0
     hard = (s1 == 0.0) & (abs(a2 * s2) < a1 * a1 - a2 * a2)
     assert np.count_nonzero(hard) > 200
+    # off the sampler's scale, where the start's bound on u^(1/3) must hold for u > 1
+    big = (100.0 * part for part in random_ellipses(np.random.default_rng(59), 1000))
+    tangent = tangent_ellipses(np.random.default_rng(58), 1000)
+    a1, a2, s1, s2 = (np.concatenate(parts) for parts in zip((a1, a2, s1, s2), big, tangent))
     exact = np.array([quartic_peak_norm(s, axes) for s, axes in zip(zip(s1, s2), zip(a1, a2))])
     peak = _peak_norm(s1, s2, a1, a2, ARRAY_OPS)
-    assert np.abs(peak - exact).max() <= 1e-15
+    assert (np.abs(peak - exact) <= 1e-15 * np.maximum(exact, 1.0)).all()
     scalar = [_peak_norm(*lane, FLOAT_OPS) for lane in zip(s1.tolist(), s2.tolist(), a1.tolist(), a2.tolist())]
     assert np.array(scalar).tobytes() == peak.tobytes()
     # ellipse_peak_norm orders the axes itself
     swapped = np.array([ellipse_peak_norm((y, x), (q, p)) for x, y, p, q in zip(s1, s2, a1, a2)])
-    assert np.abs(swapped - exact).max() <= 1e-15
+    assert (np.abs(swapped - exact) <= 1e-15 * np.maximum(exact, 1.0)).all()
 
 
 def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
-    """The shift test of _sample_shift, one try at a time."""
+    """The shift test of _sample_shift, one try at a time, with each peak norm checked against the quartic."""
     decisions = []
     for l1, l2, x, y in zip(lam1, lam2, s1, s2):
         _, margin = shift_region_contains(l1, l2, x, y)
-        decisions.append(bool(margin >= 0.0 and ellipse_peak_norm(np.array([x, y]), (abs(l1), abs(l2))) <= 1.0))
+        peak = ellipse_peak_norm(np.array([x, y]), (abs(l1), abs(l2)))
+        assert abs(peak - quartic_peak_norm((x, y), (abs(l1), abs(l2)))) <= 1e-15
+        decisions.append(bool(margin >= 0.0 and peak <= 1.0))
     return decisions
 
 
 def test_admissible_matches_the_scalar_decision_on_the_rim():
     # shifts whose image touches the unit circle up to rounding: circles
-    # (lam1 = lam2) centred at distance 1 - lam1, and ellipses shifted
-    # along their major axis by 1 - lam1
+    # (lam1 = lam2) centred at distance 1 - lam1, ellipses shifted along
+    # their major axis by 1 - lam1, and tangent_ellipses, whose nudged ones
+    # leave the disk by as little as b1^(4/3)
     rng = np.random.default_rng(56)
     n = 2000
     lam1 = rng.uniform(0.0, 0.95, n)
@@ -409,8 +433,11 @@ def test_admissible_matches_the_scalar_decision_on_the_rim():
     lam2 = np.where(np.arange(n) % 2 == 0, lam1, lam1 * rng.uniform(-1.0, 1.0, n))
     s1 = np.where(lam2 == lam1, (1.0 - lam1) * np.cos(phi), np.copysign(1.0 - lam1, np.cos(phi)))
     s2 = np.where(lam2 == lam1, (1.0 - lam1) * np.sin(phi), 0.0)
+    t1, t2, ts1, ts2 = tangent_ellipses(rng, 1000)
+    lam1, lam2 = np.concatenate([lam1, t1]), np.concatenate([lam2, np.where(np.arange(1000) % 2 == 0, t2, -t2)])
+    s1, s2 = np.concatenate([s1, ts1]), np.concatenate([s2, ts2])
     exact = scalar_decision(lam1, lam2, s1, s2)
-    assert 0 < sum(exact) < n
+    assert 0 < sum(exact[:n]) < n and 0 < sum(exact[n:]) < 1000
     assert _admissible(lam1, lam2, s1, s2).tolist() == exact
 
 
