@@ -8,13 +8,12 @@ absorbed into theta1 as a rotation by pi.  The shift transforms into the
 diagonal frame as s = rot(theta1)^t @ w.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import AffineChannel
-from .linalg import TAU, Rotation2, _check_finite_2x2, rotation_matrix
+from .linalg import FLOATS, TAU, Rotation2, _check_finite_2x2, rotation_matrix
 
 
 @dataclass(frozen=True)
@@ -49,50 +48,39 @@ class CanonicalForm:
         }
 
 
-def _pick(cond, if_true, if_false):
-    return if_true if cond else if_false
-
-
-# The math functions and the select that run :func:`factorize` on Python
-# floats and, elementwise, on numpy arrays.
-FLOAT_OPS = (math.atan2, math.hypot, math.cos, math.sin, math.copysign, _pick)
-ARRAY_OPS = (np.arctan2, np.hypot, np.cos, np.sin, np.copysign, np.where)
-
-
-def factorize(a00, a01, a10, a11, w0, w1, ops=FLOAT_OPS):
+def factorize(a00, a01, a10, a11, w0, w1, xp=FLOATS):
     """(theta1, theta2, lam1, lam2, s0, s1) of A = [[a00, a01], [a10, a11]] and w = (w0, w1).
 
-    The one statement of the factorization, on Python floats with
-    ``FLOAT_OPS`` and elementwise on arrays with ``ARRAY_OPS``.  The right
-    rotation is the exact eigen-rotation of A^t A (larger eigenvalue first;
-    an exact tie gives theta2 = 0).  The image of its first column fixes
-    theta1 and lam1; the second column's component along the perpendicular
-    of the first is sigma2 * sign(det A), so a reflection lands in the sign
-    of lam2, clipped to |lam2| <= lam1.  The shift goes into the diagonal
-    frame as s = rot(theta1)^t w.  Angles are reduced to [0, 2*pi); the
+    The one statement of the factorization, on Python floats with ``xp``
+    :data:`rebit.linalg.FLOATS` and elementwise on arrays with ``xp`` the
+    numpy module.  The right rotation is the exact eigen-rotation of A^t A
+    (larger eigenvalue first; an exact tie gives theta2 = 0).  The image of
+    its first column fixes theta1 and lam1; the second column's component
+    along the perpendicular of the first is sigma2 * sign(det A), so a
+    reflection lands in the sign of lam2, clipped to |lam2| <= lam1.  The
+    shift goes into the diagonal frame as s = rot(theta1)^t w.  Angles are reduced to [0, 2*pi); the
     zero matrix gives theta1 = theta2 = 0 and lam = (0, 0).  A^t A is formed
     directly, so entries beyond about 1e154 overflow it into NaN angles.
     """
-    atan2, hypot, cos, sin, copysign, select = ops
     # q, d and the shift are summed from +0.0, as numpy's matrix products
     # are: the sign of a zero q picks atan2's branch, that of d lam2's sign
     p = a00 * a00 + a10 * a10
     q = 0.0 + a00 * a01 + a10 * a11
     r = a01 * a01 + a11 * a11
-    half = 0.5 * atan2(2.0 * q, p - r)
-    c, s = cos(half), sin(half)
+    half = 0.5 * xp.arctan2(2.0 * q, p - r)
+    c, s = xp.cos(half), xp.sin(half)
     y10, y11 = a00 * c + a01 * s, a10 * c + a11 * s  # A @ (c, s)
     y20, y21 = a01 * c - a00 * s, a11 * c - a10 * s  # A @ (-s, c)
-    lam1 = hypot(y10, y11)
+    lam1 = xp.hypot(y10, y11)
     zero = lam1 == 0.0
-    norm = select(zero, 1.0, lam1)
+    norm = xp.where(zero, 1.0, lam1)
     u0, u1 = y10 / norm, y11 / norm
     d = 0.0 - u1 * y20 + u0 * y21
     size = abs(d)
-    lam2 = select(zero, 0.0, copysign(select(lam1 < size, lam1, size), d))
-    theta1 = select(zero, 0.0, atan2(u1, u0)) % TAU
-    theta2 = select(zero, 0.0, atan2(-s, c)) % TAU
-    c1, s1 = cos(theta1), sin(theta1)
+    lam2 = xp.where(zero, 0.0, xp.copysign(xp.where(lam1 < size, lam1, size), d))
+    theta1 = xp.where(zero, 0.0, xp.arctan2(u1, u0)) % TAU
+    theta2 = xp.where(zero, 0.0, xp.arctan2(-s, c)) % TAU
+    c1, s1 = xp.cos(theta1), xp.sin(theta1)
     return theta1, theta2, lam1, lam2, 0.0 + c1 * w0 + s1 * w1, 0.0 + c1 * w1 - s1 * w0
 
 

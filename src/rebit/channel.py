@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import SIGMA_1, SIGMA_2, _assemble_density, bloch_from_density
+from .linalg import rotation_matrix
 
 UNITAL_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -176,5 +177,4 @@ def rotation_channel(alpha: float) -> OrthogonalChannel:
 
     Its Bloch map is the rotation by ``2 * alpha``.
     """
-    c, s = math.cos(alpha), math.sin(alpha)
-    return orthogonal_channel(np.array([[c, -s], [s, c]]))
+    return orthogonal_channel(rotation_matrix(alpha))

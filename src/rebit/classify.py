@@ -16,7 +16,7 @@ import numpy as np
 from .canonical import CanonicalForm, decompose_channel
 from .channel import AffineChannel, is_unital
 from .cp import CpReport, is_cp, q_values, shift_region_contains
-from .linalg import TAU
+from .linalg import FLOATS, TAU, _peak_norm
 
 CLASS_TOL = 1e-9
 
@@ -151,73 +151,18 @@ def image_ellipse(channel: AffineChannel) -> ImageEllipse:
     return ImageEllipse.from_form(channel, decompose_channel(channel))
 
 
-NEWTON_STEPS = 8  # 6 already agree with 60 to 5e-16 on near-tangent, near-circle and log-scaled ellipses
-
-
-def _peak_norm(s1, s2, a1, a2, ops):
-    """Largest norm of s + (a1 x, a2 y) over the unit circle, a1 >= a2 >= 0; floats or arrays.
-
-    Reflecting the shift into the first quadrant keeps the peak, so let b =
-    (a1 |s1|, a2 |s2|) and d = a1^2 - a2^2.  On the circle |s + (a1 x, a2 y)|^2
-    = |s|^2 + a2^2 + d x^2 + 2 (b1 x + b2 y), a trust-region problem with
-    strong duality: the maximizer is (x, y) = (sqrt(1 - y^2), y), y = b2 / mu,
-    at the multiplier mu >= max(d, b2) where b1 / x = mu - d (More and
-    Sorensen, 1983); the hard case b1 = 0 is mu = max(d, b2) itself.  Newton
-    runs on t = mu - b2, in which 1 - y = t / mu keeps its digits at the top
-    of the circle: psi(t) = mu - d - b1 / x is concave and increasing, so from
-    a lower bound it rises to the root monotonically.  The start is the
-    largest of three lower bounds: mu - d = b1; mu = |b|, the root for
-    circles; and min(u^(1/3), u / e^2) with u = b1^2 max(d, b2) / 8 and e =
-    max(b2 - d, 0).  The last one covers the near-tangent case b2 ~ d with a
-    small b1, where the root grows as b1^(2/3) and Newton from the others
-    would only triple t per step.  Its u^(1/3) is taken from above as the
-    larger of u^(5/16) and u, with square roots only.
-
-    ``ops`` is ``(sqrt, maximum)``: FLOAT_OPS for Python floats, ARRAY_OPS
-    for numpy arrays.  Only + - * /, abs, sqrt and maximum are used, which
-    numpy rounds exactly as Python does, so both give the same bits.  The
-    floors keep every array lane free of division by zero.
-    """
-    sqrt, maximum = ops
-    b1, b2 = a1 * abs(s1), a2 * abs(s2)
-    d = (a1 - a2) * (a1 + a2)
-    c = d - b2
-    u = b1 * b1 * maximum(d, b2) * 0.125
-    r = sqrt(sqrt(u))
-    e = maximum(maximum(-c, r * sqrt(sqrt(r))), u)  # max(b2 - d, an upper bound on u^(1/3))
-    t = maximum(maximum(b1 + c, u / maximum(e * e, 1e-300)), 1e-300)
-    t = maximum(t, b1 * b1 / (sqrt(b1 * b1 + b2 * b2) + b2 + 1e-300))
-    for _ in range(NEWTON_STEPS):
-        mu = t + b2
-        y = b2 / mu
-        tx = t * (1.0 + y)  # mu x^2
-        q = b1 / sqrt(tx / mu)
-        t = maximum(t, t + tx * (q - t + c) / (tx + q * y * y))
-    mu = t + b2
-    y = b2 / mu
-    x = sqrt(t / mu * (1.0 + y))
-    p1, p2 = abs(s1) + a1 * x, abs(s2) + a2 * y
-    return sqrt(p1 * p1 + p2 * p2)
-
-
-# The operations that run :func:`_peak_norm` on Python floats and,
-# elementwise, on numpy arrays.
-FLOAT_OPS = (math.sqrt, max)
-ARRAY_OPS = (np.sqrt, np.maximum)
-
-
 def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> float:
     """Largest distance from the origin to an axis-aligned ellipse boundary.
 
-    Exact up to rounding: :func:`_peak_norm` on Python floats, with the axes
-    ordered larger first (swapping them swaps the centre's coordinates).
-    Degenerate axes (segments, points) need no special case.
+    Exact up to rounding: :func:`rebit.linalg._peak_norm` on Python floats,
+    with the axes ordered larger first (swapping them swaps the centre's
+    coordinates).  Degenerate axes (segments, points) need no special case.
     """
     c1, c2 = float(center[0]), float(center[1])
     a1, a2 = abs(float(semi_axes[0])), abs(float(semi_axes[1]))
     if a1 < a2:
         c1, c2, a1, a2 = c2, c1, a2, a1
-    return _peak_norm(c1, c2, a1, a2, FLOAT_OPS)
+    return _peak_norm(c1, c2, a1, a2, FLOATS)
 
 
 CHUNK = 256  # channels drawn from one block and built together: bounds the sampler's memory
@@ -237,14 +182,13 @@ def _sample_shift(rng: np.random.Generator, lam1: float, lam2: float) -> np.ndar
     Raises RuntimeError after 100,000 misses: returning a zero shift instead
     would pass a unital channel off as a non-unital draw.
     """
-    a1, a2 = abs(lam1), abs(lam2)
-    b1, b2 = max(0.0, 1.0 - a1), max(0.0, 1.0 - a2)
+    lam1, lam2 = float(lam1), float(lam2)
+    b1, b2 = max(0.0, 1.0 - abs(lam1)), max(0.0, 1.0 - abs(lam2))
     for _ in range(100_000):
-        s = np.array([rng.uniform(-b1, b1), rng.uniform(-b2, b2)])
-        _, margin = shift_region_contains(lam1, lam2, s[0], s[1])
-        if margin >= 0.0 and ellipse_peak_norm(s, (a1, a2)) <= 1.0:
-            return s
-    raise RuntimeError(f"no admissible shift found for lam = ({float(lam1)}, {float(lam2)})")
+        s1, s2 = rng.uniform(-b1, b1), rng.uniform(-b2, b2)
+        if _admissible(lam1, lam2, s1, s2, FLOATS):
+            return np.array([s1, s2])
+    raise RuntimeError(f"no admissible shift found for lam = ({lam1}, {lam2})")
 
 
 def _shift_from(u: np.ndarray, k, lam1, lam2) -> tuple:
@@ -254,14 +198,14 @@ def _shift_from(u: np.ndarray, k, lam1, lam2) -> tuple:
     return _uniform(-b1, b1, u[k, 0]), _uniform(-b2, b2, u[k, 1])
 
 
-def _admissible(lam1, lam2, s1, s2):
-    """Whether each shift try of :func:`_sample_shift` is admissible, over arrays; lam1 >= |lam2|.
+def _admissible(lam1, lam2, s1, s2, xp=np):
+    """Whether a shift try is admissible: margin >= 0 and a peak norm of at most 1; lam1 >= |lam2|.
 
-    The decision of :func:`_sample_shift`, bit for bit: margin >= 0 and a
-    peak norm of at most 1.
+    The one test of :func:`_sample_shift` (``xp`` FLOATS) and the batched
+    window (``xp`` numpy), which decide each try alike, bit for bit.
     """
     _, margin = shift_region_contains(lam1, lam2, s1, s2)
-    return (margin >= 0.0) & (_peak_norm(s1, s2, lam1, abs(lam2), ARRAY_OPS) <= 1.0)
+    return (margin >= 0.0) & (_peak_norm(s1, s2, lam1, abs(lam2), xp) <= 1.0)
 
 
 def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int, stop: int) -> np.ndarray:

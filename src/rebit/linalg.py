@@ -1,12 +1,15 @@
-"""Fixed-size numeric kernels: 2x2 rotations and SVD, symmetric 3x3 eigenvalues.
+"""Fixed-size numeric kernels: 2x2 rotations and SVD, symmetric 3x3 eigenvalues, ellipse peak norms.
 
 Everything here is closed-form or a tiny fixed iteration, deliberately
 self-contained so the rest of the package can use it as an independent
-numerical oracle.
+numerical oracle.  A kernel that runs on both Python floats and numpy
+arrays takes ``xp``: :data:`FLOATS` for floats, the ``numpy`` module for
+arrays, elementwise.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,6 +17,30 @@ TAU = 2.0 * math.pi
 MATRIX_TOL = 1e-12  # orthogonality / symmetry slack of the from_matrix constructors
 JACOBI_TOL = 1e-14  # off-diagonal size at which the Jacobi sweeps stop
 JACOBI_MAX_SWEEPS = 100
+NEWTON_STEPS = 8  # 6 already agree with 60 to 5e-16 on near-tangent, near-circle and log-scaled ellipses
+
+
+def _where(cond, if_true, if_false):
+    return if_true if cond else if_false
+
+
+# numpy's names bound to their math and builtin counterparts.  On finite
+# inputs arithmetic, abs, sqrt, copysign, maximum and where round alike on
+# both, so a kernel that uses only those (the Jacobi, the peak norm) gives a
+# lane the same bits with FLOATS as with numpy; the trigonometric functions
+# may differ in the last bit.
+FLOATS = SimpleNamespace(
+    sqrt=math.sqrt,
+    copysign=math.copysign,
+    arctan2=math.atan2,
+    hypot=math.hypot,
+    cos=math.cos,
+    sin=math.sin,
+    maximum=max,
+    any=bool,
+    all=bool,
+    where=_where,
+)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -140,85 +167,109 @@ def svd2(a: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
     return o1, s1, float(s2), o2
 
 
-def _jacobi_cs(app, aqq, apq, sqrt=math.sqrt, copysign=math.copysign):
-    """(c, s, t) of the rotation annihilating apq; ``np.sqrt``/``np.copysign`` run it over arrays."""
+def _jacobi_cs(app, aqq, apq, xp):
+    """(c, s, t) of the rotation annihilating apq."""
     tau = (aqq - app) / (2.0 * apq)
-    t = copysign(1.0, tau) / (abs(tau) + sqrt(1.0 + tau * tau))
-    c = 1.0 / sqrt(1.0 + t * t)
+    t = xp.copysign(1.0, tau) / (abs(tau) + xp.sqrt(1.0 + tau * tau))
+    c = 1.0 / xp.sqrt(1.0 + t * t)
     return c, t * c, t
 
 
-def eig_sym3(m: Sym3) -> tuple[float, float, float]:
-    """Eigenvalues of a symmetric 3x3 matrix, sorted descending.
-
-    Cyclic Jacobi rotations until the largest off-diagonal entry drops below
-    ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps have run.  Each rotation
-    annihilates one off-diagonal entry exactly, so the iteration is
-    unconditionally stable.
-    """
-    a00, a01, a02 = m.d00, m.d01, m.d02
-    a11, a12, a22 = m.d11, m.d12, m.d22
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if max(abs(a01), abs(a02), abs(a12)) < JACOBI_TOL:
-            break
-        if a01 != 0.0:
-            c, s, t = _jacobi_cs(a00, a11, a01)
-            a00 -= t * a01
-            a11 += t * a01
-            a01 = 0.0
-            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
-        if a02 != 0.0:
-            c, s, t = _jacobi_cs(a00, a22, a02)
-            a00 -= t * a02
-            a22 += t * a02
-            a02 = 0.0
-            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
-        if a12 != 0.0:
-            c, s, t = _jacobi_cs(a11, a22, a12)
-            a11 -= t * a12
-            a22 += t * a12
-            a12 = 0.0
-            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
-    e = sorted((a00, a11, a22), reverse=True)
-    return e[0], e[1], e[2]
-
-
-def _rotate_lanes(app, aqq, apq, arp, arq, live):
-    """One Jacobi rotation of :func:`eig_sym3` on the live lanes where apq is nonzero.
+def _rotate(app, aqq, apq, arp, arq, live, xp):
+    """One Jacobi rotation annihilating apq, applied where the lane is live and apq is nonzero.
 
     Returns the updated (app, aqq, apq, arp, arq); every other lane keeps its
-    entries unchanged, exactly as the scalar loop skips a zero entry.
+    entries unchanged.  Where every lane rotates, apq comes back as the float
+    0.0, which broadcasts like an array of zeros and costs no array call.
     """
     on = live & (apq != 0.0)
-    c, s, t = _jacobi_cs(app, aqq, np.where(on, apq, 1.0), np.sqrt, np.copysign)
-    new = (app - t * apq, aqq + t * apq, np.zeros_like(apq), c * arp - s * arq, s * arp + c * arq)
-    if on.all():
+    c, s, t = _jacobi_cs(app, aqq, xp.where(on, apq, 1.0), xp)
+    new = (app - t * apq, aqq + t * apq, 0.0, c * arp - s * arq, s * arp + c * arq)
+    if xp.all(on):
         return new
-    return tuple(np.where(on, n, old) for n, old in zip(new, (app, aqq, apq, arp, arq)))
+    return tuple(xp.where(on, n, old) for n, old in zip(new, (app, aqq, apq, arp, arq)))
+
+
+def _jacobi(a00, a01, a02, a11, a12, a22, xp):
+    """Unsorted eigenvalues (a00, a11, a22) of symmetric 3x3 matrices given by their upper triangles.
+
+    Cyclic Jacobi rotations, each annihilating one off-diagonal entry
+    exactly, so the iteration is unconditionally stable.  A rotation is
+    skipped where its entry is exactly 0, and a lane freezes once its largest
+    off-diagonal entry is below ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps
+    have run.  ``xp`` is FLOATS for Python floats, numpy for arrays, with
+    the same bits.
+    """
+    live = True
+    for _ in range(JACOBI_MAX_SWEEPS):
+        live = live & (xp.maximum(xp.maximum(abs(a01), abs(a02)), abs(a12)) >= JACOBI_TOL)
+        if not xp.any(live):
+            break
+        a00, a11, a01, a02, a12 = _rotate(a00, a11, a01, a02, a12, live, xp)
+        a00, a22, a02, a01, a12 = _rotate(a00, a22, a02, a01, a12, live, xp)
+        a11, a22, a12, a01, a02 = _rotate(a11, a22, a12, a01, a02, live, xp)
+    return a00, a11, a22
+
+
+def eig_sym3(m: Sym3) -> tuple[float, float, float]:
+    """Eigenvalues of a symmetric 3x3 matrix, sorted descending: :func:`_jacobi` on floats."""
+    return tuple(sorted(_jacobi(m.d00, m.d01, m.d02, m.d11, m.d12, m.d22, FLOATS), reverse=True))
 
 
 def eig_sym3_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
     """Eigenvalues of a stack of symmetric 3x3 matrices given entrywise, shape (..., 3).
 
-    The entries broadcast against each other.  Each lane runs the cyclic
-    Jacobi of :func:`eig_sym3` with the same arithmetic: a rotation is skipped
-    where its entry is exactly 0, and a lane freezes once its largest
-    off-diagonal entry is below ``JACOBI_TOL``.  Rows are sorted descending
-    with ties kept in diagonal order, as ``sorted`` does, so every row equals
-    ``eig_sym3`` of that lane bit for bit.  The fixed cost of the array calls
-    makes it much slower than ``eig_sym3`` on a single matrix.
+    The entries broadcast against each other, and :func:`_jacobi` runs on
+    the arrays.  Rows are sorted descending with ties kept in diagonal
+    order, as ``sorted`` does, so every row equals ``eig_sym3`` of that lane
+    bit for bit.  The fixed cost of the array calls makes it much slower than
+    ``eig_sym3`` on a single matrix.
     """
-    a00, a01, a02, a11, a12, a22 = (
-        np.array(x, dtype=float) for x in np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
-    )
-    live = np.ones(a00.shape, dtype=bool)
+    entries = (np.array(x, dtype=float) for x in np.broadcast_arrays(d00, d01, d02, d11, d12, d22))
     with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
-        for _ in range(JACOBI_MAX_SWEEPS):
-            live &= np.maximum(np.maximum(abs(a01), abs(a02)), abs(a12)) >= JACOBI_TOL
-            if not live.any():
-                break
-            a00, a11, a01, a02, a12 = _rotate_lanes(a00, a11, a01, a02, a12, live)
-            a00, a22, a02, a01, a12 = _rotate_lanes(a00, a22, a02, a01, a12, live)
-            a11, a22, a12, a01, a02 = _rotate_lanes(a11, a22, a12, a01, a02, live)
-    e = np.stack((a00, a11, a22), axis=-1)
+        e = np.stack(_jacobi(*entries, np), axis=-1)
     return np.take_along_axis(e, np.argsort(-e, axis=-1, kind="stable"), axis=-1)
+
+
+def _peak_norm(s1, s2, a1, a2, xp):
+    """Largest norm of s + (a1 x, a2 y) over the unit circle, a1 >= a2 >= 0.
+
+    Reflecting the shift into the first quadrant keeps the peak, so let b =
+    (a1 |s1|, a2 |s2|) and d = a1^2 - a2^2.  On the circle |s + (a1 x, a2 y)|^2
+    = |s|^2 + a2^2 + d x^2 + 2 (b1 x + b2 y), a trust-region problem with
+    strong duality: the maximizer is (x, y) = (sqrt(1 - y^2), y), y = b2 / mu,
+    at the multiplier mu >= max(d, b2) where b1 / x = mu - d (More and
+    Sorensen, 1983); the hard case b1 = 0 is mu = max(d, b2) itself.  Newton
+    runs on t = mu - b2, in which 1 - y = t / mu keeps its digits at the top
+    of the circle: psi(t) = mu - d - b1 / x is concave and increasing, so from
+    a lower bound it rises to the root monotonically.  The start is the
+    largest of three lower bounds: mu - d = b1; mu = |b|, the root for
+    circles; and min(u^(1/3), u / e^2) with u = b1^2 max(d, b2) / 8 and e =
+    max(b2 - d, 0).  The last one covers the near-tangent case b2 ~ d with a
+    small b1, where the root grows as b1^(2/3) and Newton from the others
+    would only triple t per step.  Its u^(1/3) is taken from above as the
+    larger of u^(5/16) and u, with square roots only.
+
+    Only + - * /, abs, sqrt and maximum are used, so FLOATS and numpy give
+    the same bits.  The floors keep every array lane free of division by
+    zero.
+    """
+    b1, b2 = a1 * abs(s1), a2 * abs(s2)
+    d = (a1 - a2) * (a1 + a2)
+    c = d - b2
+    u = b1 * b1 * xp.maximum(d, b2) * 0.125
+    r = xp.sqrt(xp.sqrt(u))
+    e = xp.maximum(xp.maximum(-c, r * xp.sqrt(xp.sqrt(r))), u)  # max(b2 - d, an upper bound on u^(1/3))
+    t = xp.maximum(xp.maximum(b1 + c, u / xp.maximum(e * e, 1e-300)), 1e-300)
+    t = xp.maximum(t, b1 * b1 / (xp.sqrt(b1 * b1 + b2 * b2) + b2 + 1e-300))
+    for _ in range(NEWTON_STEPS):
+        mu = t + b2
+        y = b2 / mu
+        tx = t * (1.0 + y)  # mu x^2
+        q = b1 / xp.sqrt(tx / mu)
+        t = xp.maximum(t, t + tx * (q - t + c) / (tx + q * y * y))
+    mu = t + b2
+    y = b2 / mu
+    x = xp.sqrt(t / mu * (1.0 + y))
+    p1, p2 = abs(s1) + a1 * x, abs(s2) + a2 * y
+    return xp.sqrt(p1 * p1 + p2 * p2)

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bloch import density_from_bloch
-from .canonical import ARRAY_OPS, factorize
+from .canonical import factorize
 from .channel import rotation_channel
-from .cp import CP_TOL, charpoly_coeffs, chi_entries, closed_form_verdict
+from .cp import CP_TOL, _charpoly_from_margin, chi_entries, closed_form_verdict
 from .linalg import eig_sym3_batch, rotation_matrix
 
 BOUNDARY_BAND = 1e-7
@@ -73,7 +73,7 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
     for start in range(0, samples, CHUNK):
         lam1, lam2, w1, w2 = rng.uniform(-1.0, 1.0, (min(CHUNK, samples - start), 4)).T
         closed, (q0, q1, q2), margin = closed_form_verdict(lam1, lam2, w1, w2)
-        _, b, _ = charpoly_coeffs(lam1, lam2, w1, w2)
+        _, b, _ = _charpoly_from_margin(lam1, lam2, w1, w2, margin)
         b_violations += int(np.count_nonzero(closed & (b < -CP_TOL)))
         differ = closed != _oracle_cp(lam1, lam2, w1, w2)
         min_abs_q = np.minimum(np.minimum(abs(q0), abs(q1)), abs(q2))
@@ -97,7 +97,7 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0, span: float = 2.0) -> 
     for start in range(0, samples, CHUNK):
         entries = rng.uniform(-span, span, (min(CHUNK, samples - start), 6)).T
         a00, a01, a10, a11 = entries[:4]
-        theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries, ARRAY_OPS)
+        theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries, np)
         c1, n1, c2, n2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
         rebuilt = (
             c1 * lam1 * c2 - n1 * lam2 * n2,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebit.canonical import (
-    ARRAY_OPS,
     CanonicalForm,
     canonical_decompose,
     decompose_channel,
@@ -150,7 +149,7 @@ def float_path(entries: np.ndarray) -> np.ndarray:
 
 
 def array_path(entries: np.ndarray) -> np.ndarray:
-    return np.stack(factorize(*entries.T, ARRAY_OPS), axis=-1).reshape(-1, 6)
+    return np.stack(factorize(*entries.T, np), axis=-1).reshape(-1, 6)
 
 
 def random_entries(count: int, seed: int, span: float = 2.0) -> np.ndarray:

@@ -7,9 +7,7 @@ import pytest
 from rebit.bloch import bloch_from_density, state_polar
 from rebit.channel import AffineChannel, apply, as_affine, compose, orthogonal_channel
 from rebit.classify import (
-    ARRAY_OPS,
     CHUNK,
-    FLOAT_OPS,
     CompletelyDepolarizing,
     Depolarizing,
     General,
@@ -24,11 +22,10 @@ from rebit.classify import (
     sample_cp_channel,
     sample_cp_channels,
     _admissible,
-    _peak_norm,
     _sample_shift,
 )
 from rebit.cp import chi_matrix, chi_rank, is_cp, q_values, shift_region_contains
-from rebit.linalg import TAU, rotation_matrix
+from rebit.linalg import FLOATS, TAU, _peak_norm, rotation_matrix
 
 DIAG = AffineChannel.diagonal
 classify_module = importlib.import_module("rebit.classify")  # the package attribute is the function
@@ -401,9 +398,9 @@ def test_peak_norm_matches_the_quartic_on_floats_and_arrays():
     tangent = tangent_ellipses(np.random.default_rng(58), 1000)
     a1, a2, s1, s2 = (np.concatenate(parts) for parts in zip((a1, a2, s1, s2), big, tangent))
     exact = np.array([quartic_peak_norm(s, axes) for s, axes in zip(zip(s1, s2), zip(a1, a2))])
-    peak = _peak_norm(s1, s2, a1, a2, ARRAY_OPS)
+    peak = _peak_norm(s1, s2, a1, a2, np)
     assert (np.abs(peak - exact) <= 1e-15 * np.maximum(exact, 1.0)).all()
-    scalar = [_peak_norm(*lane, FLOAT_OPS) for lane in zip(s1.tolist(), s2.tolist(), a1.tolist(), a2.tolist())]
+    scalar = [_peak_norm(*lane, FLOATS) for lane in zip(s1.tolist(), s2.tolist(), a1.tolist(), a2.tolist())]
     assert np.array(scalar).tobytes() == peak.tobytes()
     # ellipse_peak_norm orders the axes itself
     swapped = np.array([ellipse_peak_norm((y, x), (q, p)) for x, y, p, q in zip(s1, s2, a1, a2)])
@@ -419,6 +416,11 @@ def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
         assert abs(peak - quartic_peak_norm((x, y), (abs(l1), abs(l2)))) <= 1e-15
         decisions.append(bool(margin >= 0.0 and peak <= 1.0))
     return decisions
+
+
+def float_decision(lam1, lam2, s1, s2) -> list[bool]:
+    """_admissible run with FLOATS, one try at a time: the path _sample_shift takes."""
+    return [_admissible(*lane, FLOATS) for lane in zip(lam1.tolist(), lam2.tolist(), s1.tolist(), s2.tolist())]
 
 
 def test_admissible_matches_the_scalar_decision_on_the_rim():
@@ -438,7 +440,9 @@ def test_admissible_matches_the_scalar_decision_on_the_rim():
     s1, s2 = np.concatenate([s1, ts1]), np.concatenate([s2, ts2])
     exact = scalar_decision(lam1, lam2, s1, s2)
     assert 0 < sum(exact[:n]) < n and 0 < sum(exact[n:]) < 1000
-    assert _admissible(lam1, lam2, s1, s2).tolist() == exact
+    admissible = _admissible(lam1, lam2, s1, s2)
+    assert admissible.tolist() == exact
+    assert float_decision(lam1, lam2, s1, s2) == admissible.tolist()
 
 
 def test_admissible_matches_the_scalar_decision_off_the_rim():
@@ -447,3 +451,4 @@ def test_admissible_matches_the_scalar_decision_off_the_rim():
     admissible = _admissible(a1, lam2, s1, s2)
     assert admissible.any() and not admissible.all()
     assert admissible.tolist() == scalar_decision(a1, lam2, s1, s2)
+    assert float_decision(a1, lam2, s1, s2) == admissible.tolist()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rebit.bloch import SIGMA_0, SIGMA_1, SIGMA_2
-from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel
+from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel, rotation_channel
+from rebit.classify import ellipse_peak_norm
 from rebit.cp import (
+    CP_TOL,
     DIAGONAL_TOL,
     admissible_pentagon,
     charpoly_coeffs,
@@ -284,3 +286,36 @@ def test_cp_invariant_under_orthogonal_dressing():
         right = as_affine(orthogonal_channel(rotation_matrix(rng.uniform(0.0, 2 * math.pi))))
         dressed = compose(left, compose(channel, right))
         assert is_cp(dressed).is_cp == is_cp(channel).is_cp
+
+
+# Known defects of the verdict, each reproduced: is_cp decides diagonal
+# channels at their literal coefficients and never checks that the image of
+# the disk stays in the disk.  Each test passes once the verdict is sound.
+
+
+@pytest.mark.xfail(strict=True, reason="is_cp does not check that the image stays in the disk")
+@pytest.mark.parametrize("channel", [DIAG(5.0, 5.0), DIAG(0.5, 0.5, 0.6, 0.0)], ids=["scaled-out", "shifted-out"])
+def test_is_cp_implies_the_image_stays_in_the_disk(channel):
+    assert ellipse_peak_norm(channel.w, (channel.a[0, 0], channel.a[1, 1])) > 1.0 + CP_TOL
+    assert not is_cp(channel).is_cp
+
+
+@pytest.mark.xfail(strict=True, reason="diagonal channels are decided at their literal signs, and -I is rejected")
+def test_rotation_channel_is_cp():
+    assert is_cp(as_affine(rotation_channel(math.pi / 2))).is_cp
+
+
+@pytest.mark.xfail(strict=True, reason="diagonal channels are decided at their literal signs")
+def test_cp_invariant_under_dressing_by_an_exact_angle():
+    channel = DIAG(-0.8, -0.8)
+    dressed = AffineChannel(rotation_matrix(math.pi) @ channel.a, rotation_matrix(math.pi) @ channel.w)
+    assert is_cp(dressed).is_cp
+    assert is_cp(channel).is_cp
+
+
+@pytest.mark.xfail(strict=True, reason="a composite that lands on a diagonal is decided at its literal signs")
+def test_compose_of_cp_channels_is_cp():
+    a = AffineChannel(rotation_matrix(1e-6) @ np.diag([-0.8, -0.8]), np.zeros(2))
+    b = AffineChannel(rotation_matrix(-1e-6), np.zeros(2))
+    assert is_cp(a).is_cp and is_cp(b).is_cp
+    assert is_cp(compose(a, b)).is_cp

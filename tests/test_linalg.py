@@ -102,7 +102,7 @@ def test_eig_sym3_diagonal():
 
 
 def batch_matches_scalar(matrices):
-    """eig_sym3_batch on the stacked matrices equals eig_sym3 on each, bit for bit."""
+    """eig_sym3_batch (the numpy path) on the stacked matrices equals eig_sym3 (the FLOATS path) on each, bit for bit."""
     fields = ("d00", "d01", "d02", "d11", "d12", "d22")
     entries = [np.array([getattr(m, f) for m in matrices]) for f in fields]
     batched = eig_sym3_batch(*entries)
