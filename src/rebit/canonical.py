@@ -8,12 +8,15 @@ absorbed into theta1 as a rotation by pi.  The shift transforms into the
 diagonal frame as s = rot(theta1)^t @ w.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import AffineChannel
-from .linalg import FLOATS, TAU, Rotation2, _check_finite_2x2, rotation_matrix
+from .linalg import FLOATS, TAU, Rotation2, _check_finite_2x2
+
+SECTOR_TOL = 1e-12  # slack of lam1 >= |lam2| in a canonical form
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ class CanonicalForm:
         object.__setattr__(self, "shift", shift)
         if self.lam1 < 0.0:
             raise ValueError(f"lam1 must be nonnegative, got {self.lam1!r}")
-        if abs(self.lam2) > self.lam1 + 1e-12:
+        if abs(self.lam2) > self.lam1 + SECTOR_TOL:
             raise ValueError("requires lam1 >= |lam2|")
 
     def to_json_dict(self) -> dict:
@@ -102,11 +105,29 @@ def decompose_channel(channel: AffineChannel) -> CanonicalForm:
     return CanonicalForm(theta1=theta1, theta2=theta2, lam1=lam1, lam2=lam2, shift=(s0, s1))
 
 
+def rebuild(theta1, theta2, lam1, lam2, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked inverse of :func:`factorize`: rot(theta1) diag(lam1, lam2) rot(theta2) and rot(theta1) s.
+
+    Takes n of each parameter and an (n, 2) array of shifts; returns the
+    linear parts (n, 2, 2) and shifts (n, 2).  Each rotation is built from
+    ``math.cos`` and ``math.sin`` of its angle, as
+    :func:`rebit.linalg.rotation_matrix` builds it.
+    """
+    r1, r2 = np.empty((2, len(lam1), 2, 2))
+    for r, theta in ((r1, theta1), (r2, theta2)):
+        angles = np.asarray(theta).tolist()
+        r[:, 0, 0] = r[:, 1, 1] = [math.cos(t) for t in angles]
+        r[:, 1, 0] = [math.sin(t) for t in angles]
+        r[:, 0, 1] = -r[:, 1, 0]
+    d = np.zeros((len(lam1), 2, 2))
+    d[:, 0, 0], d[:, 1, 1] = lam1, lam2
+    return r1 @ d @ r2, (r1 @ shift[:, :, None])[:, :, 0]
+
+
 def reconstruct(form: CanonicalForm) -> AffineChannel:
     """Rebuild the affine channel described by a canonical form."""
-    r1 = rotation_matrix(form.theta1)
-    a = r1 @ np.diag([form.lam1, form.lam2]) @ rotation_matrix(form.theta2)
-    return AffineChannel(a, r1 @ form.shift)
+    a, w = rebuild([form.theta1], [form.theta2], [form.lam1], [form.lam2], form.shift[None])
+    return AffineChannel(a[0], w[0])
 
 
 def reconstruction_residual(channel: AffineChannel, form: CanonicalForm) -> float:

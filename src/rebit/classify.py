@@ -8,12 +8,15 @@ General, so e.g. the origin is reported as completely depolarizing even
 though it also fits the depolarizing and linear patterns.
 """
 
+# unevaluated np.random.Generator hints: importing rebit leaves numpy.random unloaded
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, decompose_channel
+from .canonical import CanonicalForm, decompose_channel, rebuild
 from .channel import AffineChannel, is_unital
 from .cp import CpReport, is_cp, q_values, shift_region_contains
 from .linalg import FLOATS, TAU, _peak_norm
@@ -128,13 +131,6 @@ class ImageEllipse:
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "center": [self.center[0], self.center[1]],
-            "axes": [self.semi_axes[0], self.semi_axes[1]],
-            "tilt": self.tilt,
-        }
-
     @classmethod
     def from_form(cls, channel: AffineChannel, form: CanonicalForm) -> "ImageEllipse":
         """The channel's image ellipse, read off its canonical form."""
@@ -220,26 +216,6 @@ def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int,
     return np.where(ok.any(axis=1), first + ok.argmax(axis=1), -1)
 
 
-def _rotations(theta: np.ndarray) -> np.ndarray:
-    """Stacked :func:`rotation_matrix` of each angle, from the same ``math.cos`` and ``math.sin``."""
-    angles = theta.tolist()
-    r = np.empty((len(angles), 2, 2))
-    r[:, 0, 0] = r[:, 1, 1] = [math.cos(t) for t in angles]
-    r[:, 1, 0] = [math.sin(t) for t in angles]
-    r[:, 0, 1] = -r[:, 1, 0]
-    return r
-
-
-def _write_channels(lam1, lam2, shift, theta, a: np.ndarray, w: np.ndarray) -> int:
-    """Write rot(theta1) diag(lam1, lam2) rot(theta2) and rot(theta1) s into the first rows of ``a`` and ``w``."""
-    r1 = _rotations(theta[:, 0])
-    d = np.zeros((len(lam1), 2, 2))
-    d[:, 0, 0], d[:, 1, 1] = lam1, lam2
-    a[:len(d)] = r1 @ d @ _rotations(theta[:, 1])
-    w[:len(d)] = (r1 @ shift[:, :, None])[:, :, 0]
-    return len(d)
-
-
 def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital: bool) -> int:
     """Draw between 1 and ``len(a)`` channels from one block of ``rng.random`` pairs.
 
@@ -306,9 +282,9 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
         if len(rows) == count:
             break
     else:
-        # the block ran out: every pair from first_free on missed the pentagon,
-        # but for a last pair in it, which the next block draws again
-        first_free = max(first_free, pairs - 1 if in_pentagon[-1] else pairs)
+        # the block ran out: every pair from first_free on but the last missed
+        # the pentagon; the next block draws the last again (and skips a miss again)
+        first_free = max(first_free, pairs - 1)
     if tail is None:
         rng.bit_generator.state = state
         rng.random(2 * first_free)
@@ -323,7 +299,8 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
         rows.append(tail[0])
         shift = np.concatenate([shift, tail[1][None]])
         theta = np.concatenate([theta, tail[2][None]])
-    return _write_channels(hi[rows], lo[rows], shift, theta, a, w)
+    a[:len(rows)], w[:len(rows)] = rebuild(theta[:, 0], theta[:, 1], hi[rows], lo[rows], shift)
+    return len(rows)
 
 
 def sample_cp_channel(seed: int, unital: bool = False) -> AffineChannel:

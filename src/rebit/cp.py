@@ -17,19 +17,23 @@ form
 
 which stays meaningful when any factor vanishes, unlike the divided ellipse
 form.  It is written only here; :mod:`rebit.verify` checks it against the
-Jacobi eigenvalues of chi.  Diagonal channels are decided at their literal
-coefficients, the frame the rank taxonomy lives in; everything else is
-routed through the canonical factorization first.
+Jacobi eigenvalues of chi.  A channel is completely positive when the closed
+form holds in its canonical frame (lam1 >= |lam2|) and the image of the disk
+stays in the disk there.  The report gives the q-values, margin and rank in
+the diagonal frame, where diagonal channels keep their literal coefficients,
+the frame the rank taxonomy lives in.
 """
 
+import math
 from dataclasses import dataclass
 
 from .canonical import decompose_channel
 from .channel import AffineChannel
-from .linalg import Sym3, eig_sym3
+from .linalg import FLOATS, Sym3, _peak_norm, eig_sym3
 
 CP_TOL = 1e-9  # one-sided boundary slack: the admissible region is closed
 DIAGONAL_TOL = 1e-12
+TIE_TOL = 1e-12  # lam1 + lam2 at or below which a reflection's two scales tie
 
 
 def chi_entries(lam1, lam2, w1=0.0, w2=0.0) -> tuple:
@@ -148,9 +152,27 @@ def diagonal_frame(channel: AffineChannel) -> tuple[float, float, float, float]:
 
 
 def is_cp(channel: AffineChannel) -> CpReport:
-    """Decide complete positivity and assemble the full report."""
+    """Decide complete positivity in the canonical frame; report in the diagonal frame.
+
+    The verdict is the closed form and a peak norm of the image of at most
+    1 + ``CP_TOL``, both in the canonical frame, onto which a literal diagonal
+    frame folds by a quarter and a half turn; the shift's signs matter to
+    neither test.  A reflection whose scales tie (lam2 = -lam1) has every
+    rotation of its shift as a canonical frame: the verdict takes the most
+    lenient, the shift along the first axis, which keeps the CP set closed.
+    """
     frame = diagonal_frame(channel)
     verdict, q, margin = closed_form_verdict(*frame)
+    lam1, lam2, w1, w2 = frame
+    if abs(lam1) < abs(lam2):  # a quarter turn swaps the axes
+        lam1, lam2, w1, w2 = lam2, lam1, w2, w1
+    if lam1 < 0.0:  # a half turn flips both signs
+        lam1, lam2 = -lam1, -lam2
+    if lam2 < 0.0 and lam1 + lam2 <= TIE_TOL:
+        w1, w2 = math.hypot(w1, w2), 0.0
+    if (lam1, lam2, w1, w2) != frame:
+        verdict, _, _ = closed_form_verdict(lam1, lam2, w1, w2)
+    verdict = verdict and _peak_norm(w1, w2, lam1, abs(lam2), FLOATS) <= 1.0 + CP_TOL
     a, b, det_chi = _charpoly_from_margin(*frame, margin)
     rank = chi_rank(chi_matrix(*frame))
     return CpReport(

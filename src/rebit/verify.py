@@ -32,6 +32,9 @@ CHUNK = 4096  # points per array evaluation in every sweep but the double-angle 
 # at 10^4 points, about 5 ms, whatever sizes the command line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
+ROUNDTRIP_SPAN = 2.0  # round-trip entries are drawn from [-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN]
+ROUNDTRIP_TOL = 1e-10  # largest round-trip residual and determinant error that pass
+DOUBLE_ANGLE_TOL = 1e-12  # largest deviation from the double-angle law that passes
 
 
 def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
@@ -83,8 +86,8 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
     return samples, mismatches, excluded, b_violations
 
 
-def roundtrip_sweep(samples: int = 10_000, seed: int = 0, span: float = 2.0) -> tuple[int, float, float]:
-    """Factorization round trip on random channels with entries in [-span, span].
+def roundtrip_sweep(samples: int = 10_000, seed: int = 0) -> tuple[int, float, float]:
+    """Factorization round trip on random channels with entries in [-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN].
 
     Each point is a linear part A and a shift w, drawn as the six entries
     (a00, a01, a10, a11, w0, w1) in that order.  Returns (samples,
@@ -95,7 +98,7 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0, span: float = 2.0) -> 
     rng = np.random.default_rng(seed)
     max_residual = max_det_err = 0.0
     for start in range(0, samples, CHUNK):
-        entries = rng.uniform(-span, span, (min(CHUNK, samples - start), 6)).T
+        entries = rng.uniform(-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN, (min(CHUNK, samples - start), 6)).T
         a00, a01, a10, a11 = entries[:4]
         theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries, np)
         c1, n1, c2, n2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
@@ -116,7 +119,7 @@ def double_angle_sweep(count: int = 100, seed: int = 0) -> tuple[int, float]:
     """Orthogonal channels of rotations: Bloch map equals the doubled rotation.
 
     Also conjugates random states directly and compares against the Bloch
-    rotation.  Returns (failures, max_deviation) at tolerance 1e-12.
+    rotation.  Returns (failures, max_deviation) at tolerance DOUBLE_ANGLE_TOL.
     """
     rng = np.random.default_rng(seed)
     failures = 0
@@ -131,7 +134,7 @@ def double_angle_sweep(count: int = 100, seed: int = 0) -> tuple[int, float]:
         rho = density_from_bloch(v)
         dev = max(dev, np.abs(chan.conjugate(rho) - density_from_bloch(chan.bloch_map @ v)).max())
         worst = max(worst, dev)
-        if dev > 1e-12:
+        if dev > DOUBLE_ANGLE_TOL:
             failures += 1
     return failures, worst
 
@@ -163,7 +166,7 @@ def run_verify(grid_step: float = 0.01, samples: int = 100_000, seed: int = 0) -
     roundtrips, max_residual, max_det_err = roundtrip_sweep(min(samples, 10_000), seed)
     angle_failures, _ = double_angle_sweep(100, seed)
     mismatches = grid_mismatches + sweep_mismatches + b_violations + angle_failures
-    if max_residual > 1e-10 or max_det_err > 1e-10:
+    if max_residual > ROUNDTRIP_TOL or max_det_err > ROUNDTRIP_TOL:
         mismatches += 1
     return VerifyReport(
         grid_points=grid_points,

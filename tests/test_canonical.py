@@ -10,6 +10,7 @@ from rebit.canonical import (
     canonical_decompose,
     decompose_channel,
     factorize,
+    rebuild,
     reconstruct,
     reconstruction_residual,
 )
@@ -111,6 +112,18 @@ def test_determinant_and_singular_values_preserved():
         _, s1, s2, _ = svd2(a)
         assert abs(form.lam1 - s1) <= 1e-10
         assert abs(abs(form.lam2) - s2) <= 1e-10
+
+
+def test_rebuild_is_the_product_of_its_factors_bit_for_bit():
+    rng = np.random.default_rng(80)
+    theta = rng.uniform(0.0, TAU, (50, 2))
+    lam = rng.uniform(-1.0, 1.0, (50, 2))
+    shift = rng.uniform(-1.0, 1.0, (50, 2))
+    a, w = rebuild(theta[:, 0], theta[:, 1], lam[:, 0], lam[:, 1], shift)
+    for row in range(50):
+        r1 = rotation_matrix(theta[row, 0])
+        assert np.array_equal(a[row], r1 @ np.diag(lam[row]) @ rotation_matrix(theta[row, 1]))
+        assert np.array_equal(w[row], r1 @ shift[row])
 
 
 @settings(max_examples=300, deadline=None)

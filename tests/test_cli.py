@@ -199,6 +199,15 @@ def test_sample_into_a_closed_pipe_exits_one_without_a_traceback():
     proc.stderr.close()
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # only sampling draws random numbers; check, classify, decompose and image never load it
+    path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, rebit, rebit.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True, timeout=60).stdout
+    assert out == b"False\n"
+
+
 def test_sample_rejects_bad_count(capsys):
     code, _, err = run_cli(capsys, "sample", "--count", "0")
     assert code == 1 and "count" in err

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebit.bloch import SIGMA_0, SIGMA_1, SIGMA_2
 from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel, rotation_channel
 from rebit.classify import ellipse_peak_norm
+from rebit.canonical import decompose_channel
 from rebit.cp import (
     CP_TOL,
     DIAGONAL_TOL,
@@ -169,10 +172,14 @@ def test_is_cp_computes_the_margin_once(monkeypatch):
 
     monkeypatch.setattr(rebit.cp, "shift_region_contains", counted)
     dressed = AffineChannel(rotation_matrix(0.4) @ np.diag([0.6, 0.2]) @ rotation_matrix(1.1), [0.1, 0.0])
-    for channel in (AffineChannel.identity(), DIAG(0.3, -0.7, 0.1, 0.0), DIAG(1.0, -1.0), dressed):
+    # a literal frame outside the canonical sector lam1 >= |lam2| is decided
+    # once more, folded into it
+    for channel, frames in (
+        (AffineChannel.identity(), 1), (DIAG(0.3, -0.7, 0.1, 0.0), 2), (DIAG(1.0, -1.0), 1), (dressed, 1)
+    ):
         calls.clear()
         report = is_cp(channel)
-        assert len(calls) == 1
+        assert len(set(calls)) == len(calls) == frames
         assert (report.a, report.b, report.det_chi) == charpoly_coeffs(*report.frame)
 
 
@@ -288,24 +295,20 @@ def test_cp_invariant_under_orthogonal_dressing():
         assert is_cp(dressed).is_cp == is_cp(channel).is_cp
 
 
-# Known defects of the verdict, each reproduced: is_cp decides diagonal
-# channels at their literal coefficients and never checks that the image of
-# the disk stays in the disk.  Each test passes once the verdict is sound.
+# Invariants any definition of CP implies: the image of the disk stays in the
+# disk, the verdict survives dressing by exact angles, and CP maps compose.
 
 
-@pytest.mark.xfail(strict=True, reason="is_cp does not check that the image stays in the disk")
 @pytest.mark.parametrize("channel", [DIAG(5.0, 5.0), DIAG(0.5, 0.5, 0.6, 0.0)], ids=["scaled-out", "shifted-out"])
 def test_is_cp_implies_the_image_stays_in_the_disk(channel):
     assert ellipse_peak_norm(channel.w, (channel.a[0, 0], channel.a[1, 1])) > 1.0 + CP_TOL
     assert not is_cp(channel).is_cp
 
 
-@pytest.mark.xfail(strict=True, reason="diagonal channels are decided at their literal signs, and -I is rejected")
 def test_rotation_channel_is_cp():
     assert is_cp(as_affine(rotation_channel(math.pi / 2))).is_cp
 
 
-@pytest.mark.xfail(strict=True, reason="diagonal channels are decided at their literal signs")
 def test_cp_invariant_under_dressing_by_an_exact_angle():
     channel = DIAG(-0.8, -0.8)
     dressed = AffineChannel(rotation_matrix(math.pi) @ channel.a, rotation_matrix(math.pi) @ channel.w)
@@ -313,9 +316,44 @@ def test_cp_invariant_under_dressing_by_an_exact_angle():
     assert is_cp(channel).is_cp
 
 
-@pytest.mark.xfail(strict=True, reason="a composite that lands on a diagonal is decided at its literal signs")
 def test_compose_of_cp_channels_is_cp():
     a = AffineChannel(rotation_matrix(1e-6) @ np.diag([-0.8, -0.8]), np.zeros(2))
     b = AffineChannel(rotation_matrix(-1e-6), np.zeros(2))
     assert is_cp(a).is_cp and is_cp(b).is_cp
     assert is_cp(compose(a, b)).is_cp
+
+
+@pytest.mark.parametrize("shift", [(0.5, 0.0), (0.0, 0.5), (0.3, 0.4)])
+def test_tied_reflection_is_decided_alike_in_every_frame(shift):
+    # a reflection with equal singular values: every rotation of the shift is a
+    # canonical frame, and the image, a disk of radius 0.5 at distance 0.5, touches the rim
+    channels = [
+        DIAG(0.5, -0.5, *shift),
+        AffineChannel([[0.0, 0.5], [0.5, 0.0]], shift),
+        AffineChannel(rotation_matrix(0.3) @ np.diag([0.5, -0.5]) @ rotation_matrix(1.1), shift),
+    ]
+    assert all(is_cp(channel).is_cp for channel in channels)
+    assert not is_cp(DIAG(0.5, -0.5, 0.5, 0.01)).is_cp
+
+
+ENTRIES = st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4)
+SHIFTS = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+QUARTER_TURNS = st.integers(0, 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ENTRIES, SHIFTS)
+def test_is_cp_implies_the_canonical_image_stays_in_the_disk(entries, shift):
+    channel = AffineChannel(np.reshape(entries, (2, 2)), shift)
+    form = decompose_channel(channel)
+    if is_cp(channel).is_cp:
+        assert ellipse_peak_norm(form.shift, (form.lam1, form.lam2)) <= 1.0 + CP_TOL
+
+
+@settings(max_examples=500, deadline=None)
+@given(ENTRIES, SHIFTS, QUARTER_TURNS, QUARTER_TURNS)
+def test_cp_invariant_under_dressing_by_quarter_turns(entries, shift, left, right):
+    channel = AffineChannel(np.reshape(entries, (2, 2)), shift)
+    r1, r2 = rotation_matrix(left * math.pi / 2), rotation_matrix(right * math.pi / 2)
+    dressed = AffineChannel(r1 @ channel.a @ r2, r1 @ channel.w)
+    assert is_cp(dressed).is_cp == is_cp(channel).is_cp
