@@ -62,8 +62,7 @@ class AffineChannel:
         channels = []
         for row_a, row_w in zip(a, w):
             channel = object.__new__(cls)
-            object.__setattr__(channel, "a", row_a)
-            object.__setattr__(channel, "w", row_w)
+            channel.__dict__.update(a=row_a, w=row_w)
             channels.append(channel)
         return channels
 

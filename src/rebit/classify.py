@@ -161,10 +161,10 @@ def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> flo
     return _peak_norm(c1, c2, a1, a2, FLOATS)
 
 
-CHUNK = 256  # channels drawn from one block and built together: bounds the sampler's memory
+CHUNK = 1024  # channels drawn from one block and built together: bounds the sampler's memory
 PAIRS_PER_CHANNEL = 6  # block size: a channel takes about 4.6 pairs of draws (2.6 if unital)
-HEAD = 4  # shift tries evaluated after every pentagon pair; most searches end within them
-LOOKAHEAD = 64  # shift tries evaluated when the first HEAD hold no admissible one; then _sample_shift
+HEAD = 1  # shift tries decided after every pentagon pair at first; 61 % of them are admissible
+LOOKAHEAD = 64  # the widest window, reached fourfold from HEAD where the walk needs it; then _sample_shift
 
 
 def _uniform(low, high, u):
@@ -226,15 +226,18 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     tries until one lands in the pentagon (pair j), then, unless unital,
     shift tries until one is admissible (pair k; k = j when unital), then its
     two rotation angles (pair k + 1); the next channel starts at pair k + 2.
-    The block is evaluated with numpy and walked in that order.  Shift tries
-    are decided by :func:`_admissible`, the exact test of
-    :func:`_sample_shift`: the HEAD tries after every pentagon pair at once,
-    then the rest of the LOOKAHEAD window for the rows with no admissible try
-    among them.  A shift search that finds nothing in the LOOKAHEAD pairs
-    after j, or in the block, ends the chunk and is finished by
-    :func:`_sample_shift`.  The
-    generator is rewound and advanced over exactly the doubles the channels
-    used, so it ends where the one-at-a-time sampler leaves it.
+    The block is evaluated with numpy and walked in that order, from each
+    channel's first free pair straight to the next pentagon pair.  Shift
+    tries are decided by :func:`_admissible`, the exact test of
+    :func:`_sample_shift`: the HEAD tries after every pentagon pair at once;
+    then, when the walk reaches a row with no admissible try yet, a window
+    four times as wide for it and every later such row, until the row
+    resolves or its window reaches LOOKAHEAD.  A shift search that finds
+    nothing in the LOOKAHEAD pairs after j, or in the block, or for the
+    block's last channel in the tries decided so far, ends the chunk and is
+    finished by :func:`_sample_shift`.  The generator is rewound and
+    advanced over exactly the doubles the channels used, so it ends where
+    the one-at-a-time sampler leaves it.
     """
     count = len(a)
     state = rng.bit_generator.state
@@ -251,25 +254,33 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     lo = np.minimum(abs(l1), abs(l2))
     lo = np.where(l1 * l2 < 0.0, -lo, lo)
     if not unital:
-        head = min(HEAD, LOOKAHEAD)
-        offsets = _first_admissible(u, starts, hi, lo, 0, head)
-        whole = head == LOOKAHEAD  # whether rows with no admissible try have their whole window
+        depth = HEAD  # tries decided after every unresolved start the walk can still reach
+        offsets = _first_admissible(u, starts, hi, lo, 0, depth)
+    starts_list = starts.tolist()
+    next_row = np.searchsorted(starts, np.arange(pairs + 1)).tolist()  # first start at or after each pair
 
     rows, shift_pairs = [], []
     tail = None
     first_free = 0  # first pair of the next channel
-    for row, j in enumerate(starts.tolist()):
-        if j < first_free:
-            continue
-        k = j
+    while len(rows) < count:
+        row = next_row[first_free]
+        if row == len(starts):
+            # the block ran out: every pair from first_free on but the last missed
+            # the pentagon; the next block draws the last again (and skips a miss again)
+            first_free = max(first_free, pairs - 1)
+            break
+        j = k = starts_list[row]
         if not unital:
-            if offsets[row] < 0 and not whole:
-                # at the first such row the walk reaches, search the rest of
-                # the window for it and every such row after it at once
-                later = row + np.flatnonzero(offsets[row:] < 0)
-                offsets[later] = _first_admissible(u, starts[later], hi[later], lo[later], head, LOOKAHEAD)
-                whole = True
             offset = int(offsets[row])
+            while offset < 0 and depth < LOOKAHEAD and len(rows) < count - 1:
+                # widen the window of this row and of every unresolved row after it
+                # fourfold: from HEAD 1, at most three passes after the first; the
+                # block's last channel goes to the scalar loop, cheaper than a pass
+                later = row + np.flatnonzero(offsets[row:] < 0)
+                wider = min(4 * depth, LOOKAHEAD)
+                offsets[later] = _first_admissible(u, starts[later], hi[later], lo[later], depth, wider)
+                depth = wider
+                offset = int(offsets[row])
             if offset < 0:
                 rng.bit_generator.state = state
                 rng.random(2 * (j + 1))
@@ -279,12 +290,6 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
         rows.append(row)
         shift_pairs.append(k)
         first_free = k + 2
-        if len(rows) == count:
-            break
-    else:
-        # the block ran out: every pair from first_free on but the last missed
-        # the pentagon; the next block draws the last again (and skips a miss again)
-        first_free = max(first_free, pairs - 1)
     if tail is None:
         rng.bit_generator.state = state
         rng.random(2 * first_free)

@@ -291,10 +291,44 @@ def assert_same_stream(seed: int, count: int, unital: bool) -> None:
 
 
 @pytest.mark.parametrize("unital", [False, True])
-@pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("count", [0, 1, 256, 257, CHUNK, CHUNK + 1])  # 256 and 257 end inside a block
 @pytest.mark.parametrize("seed", [0, 5, 17])
 def test_sampler_matches_the_one_at_a_time_reference(seed, count, unital):
     assert_same_stream(seed, count, unital)
+
+
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("count", [1, CHUNK + 1])
+@pytest.mark.parametrize("head, lookahead", [(1, 1), (1, 4), (1, 64), (3, 40), (4, 64), (64, 64)])
+def test_sampler_stream_does_not_depend_on_the_shift_window(monkeypatch, head, lookahead, count, unital):
+    monkeypatch.setattr(classify_module, "HEAD", head)
+    monkeypatch.setattr(classify_module, "LOOKAHEAD", lookahead)
+    assert_same_stream(21, count, unital)
+
+
+def test_each_block_decides_its_shift_tries_in_at_most_four_passes(monkeypatch):
+    # one pass over the first try after every pentagon pair, then windows
+    # of 4, 16 and 64 tries where the walk reaches a row that needs them;
+    # a block's last channel goes to the scalar loop instead of another pass
+    passes = []
+
+    def counted_chunk(rng, a, w, unital):
+        passes.append(0)
+        return sample_chunk(rng, a, w, unital)
+
+    def counted_search(*args):
+        passes[-1] += 1
+        return first_admissible(*args)
+
+    sample_chunk, first_admissible = classify_module._sample_chunk, classify_module._first_admissible
+    monkeypatch.setattr(classify_module, "_sample_chunk", counted_chunk)
+    monkeypatch.setattr(classify_module, "_first_admissible", counted_search)
+    sample_cp_channels(np.random.default_rng(6), 4 * CHUNK)
+    assert max(passes) == 4 and min(passes) >= 1
+    passes.clear()
+    for seed in range(50):
+        sample_cp_channel(seed)
+    assert passes == [1] * 50
 
 
 @pytest.mark.parametrize("unital", [False, True])
