@@ -18,6 +18,7 @@ from .linalg import rotation_matrix
 UNITAL_TOL = 1e-12
 ORTHO_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
+_SIGMAS = np.stack((SIGMA_1, SIGMA_2))
 
 
 class NotPositiveError(ValueError):
@@ -38,7 +39,7 @@ def _frozen_array(a, shape, copy: bool = True) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineChannel:
     """Candidate channel (A, w) on Bloch vectors: v -> w + A v."""
 
@@ -59,10 +60,12 @@ class AffineChannel:
         """
         a = _frozen_array(a, (len(a), 2, 2), copy=False)
         w = _frozen_array(w, (len(a), 2), copy=False)
+        set_a, set_w = cls.a.__set__, cls.w.__set__  # the slots' own setters, past the frozen __setattr__
         channels = []
         for row_a, row_w in zip(a, w):
             channel = object.__new__(cls)
-            channel.__dict__.update(a=row_a, w=row_w)
+            set_a(channel, row_a)
+            set_w(channel, row_w)
             channels.append(channel)
         return channels
 
@@ -148,21 +151,17 @@ def is_unital(channel: AffineChannel) -> bool:
 def orthogonal_channel(omega: np.ndarray) -> OrthogonalChannel:
     """Build the conjugation channel for Omega in O(2).
 
-    The induced Bloch map is computed entrywise from the trace formula
-    R_jk = Tr(sigma_j Omega sigma_k Omega^t) / 2.  Rotations by alpha induce
-    the Bloch rotation by 2*alpha; reflections induce Bloch reflections, so
-    det(R) always equals det(Omega).
+    The induced Bloch map is the trace formula
+    R_jk = Tr(sigma_j Omega sigma_k Omega^t) / 2, contracted in one einsum.
+    Rotations by alpha induce the Bloch rotation by 2*alpha; reflections
+    induce Bloch reflections, so det(R) always equals det(Omega).
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (2, 2) or not np.all(np.isfinite(omega)):
         raise ValueError("Omega must be a finite 2x2 matrix")
     if np.abs(omega.T @ omega - np.eye(2)).max() > ORTHO_TOL:
         raise ValueError("Omega is not orthogonal")
-    sig = (SIGMA_1, SIGMA_2)
-    r = np.empty((2, 2))
-    for j in range(2):
-        for k in range(2):
-            r[j, k] = 0.5 * np.trace(sig[j] @ omega @ sig[k] @ omega.T)
+    r = 0.5 * np.einsum("jab,bc,kcd,ad->jk", _SIGMAS, omega, _SIGMAS, omega)
     return OrthogonalChannel(omega=omega, bloch_map=r)
 
 

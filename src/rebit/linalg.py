@@ -37,7 +37,6 @@ FLOATS = SimpleNamespace(
     cos=math.cos,
     sin=math.sin,
     maximum=max,
-    any=bool,
     all=bool,
     where=_where,
 )
@@ -175,59 +174,97 @@ def _jacobi_cs(app, aqq, apq, xp):
     return c, t * c, t
 
 
-def _rotate(app, aqq, apq, arp, arq, live, xp):
-    """One Jacobi rotation annihilating apq, applied where the lane is live and apq is nonzero.
+def _rotate(app, aqq, apq, arp, arq, xp):
+    """One Jacobi rotation annihilating apq, applied where apq is nonzero.
 
-    Returns the updated (app, aqq, apq, arp, arq); every other lane keeps its
-    entries unchanged.  Where every lane rotates, apq comes back as the float
-    0.0, which broadcasts like an array of zeros and costs no array call.
+    Returns the updated (app, aqq, apq, arp, arq); a lane whose apq is
+    exactly 0 keeps its entries unchanged.  Where every lane rotates, apq
+    comes back as the float 0.0, which broadcasts like an array of zeros and
+    costs no array call.
     """
-    on = live & (apq != 0.0)
-    c, s, t = _jacobi_cs(app, aqq, xp.where(on, apq, 1.0), xp)
-    new = (app - t * apq, aqq + t * apq, 0.0, c * arp - s * arq, s * arp + c * arq)
-    if xp.all(on):
+    on = apq != 0.0
+    every = xp.all(on)
+    c, s, t = _jacobi_cs(app, aqq, apq if every else xp.where(on, apq, 1.0), xp)
+    shift = t * apq
+    new = (app - shift, aqq + shift, 0.0, c * arp - s * arq, s * arp + c * arq)
+    if every:
         return new
     return tuple(xp.where(on, n, old) for n, old in zip(new, (app, aqq, apq, arp, arq)))
 
 
-def _jacobi(a00, a01, a02, a11, a12, a22, xp):
-    """Unsorted eigenvalues (a00, a11, a22) of symmetric 3x3 matrices given by their upper triangles.
+def _sweep(a00, a01, a02, a11, a12, a22, xp):
+    """One cyclic Jacobi sweep over the upper triangle: rotations in the (0, 1), (0, 2) and (1, 2) planes."""
+    a00, a11, a01, a02, a12 = _rotate(a00, a11, a01, a02, a12, xp)
+    a00, a22, a02, a01, a12 = _rotate(a00, a22, a02, a01, a12, xp)
+    a11, a22, a12, a01, a02 = _rotate(a11, a22, a12, a01, a02, xp)
+    return a00, a01, a02, a11, a12, a22
 
-    Cyclic Jacobi rotations, each annihilating one off-diagonal entry
-    exactly, so the iteration is unconditionally stable.  A rotation is
-    skipped where its entry is exactly 0, and a lane freezes once its largest
-    off-diagonal entry is below ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps
-    have run.  ``xp`` is FLOATS for Python floats, numpy for arrays, with
-    the same bits.
-    """
-    live = True
-    for _ in range(JACOBI_MAX_SWEEPS):
-        live = live & (xp.maximum(xp.maximum(abs(a01), abs(a02)), abs(a12)) >= JACOBI_TOL)
-        if not xp.any(live):
-            break
-        a00, a11, a01, a02, a12 = _rotate(a00, a11, a01, a02, a12, live, xp)
-        a00, a22, a02, a01, a12 = _rotate(a00, a22, a02, a01, a12, live, xp)
-        a11, a22, a12, a01, a02 = _rotate(a11, a22, a12, a01, a02, live, xp)
-    return a00, a11, a22
+
+def _live(a01, a02, a12, xp):
+    """True where the largest off-diagonal entry is still at least JACOBI_TOL (False on NaN)."""
+    return xp.maximum(xp.maximum(abs(a01), abs(a02)), abs(a12)) >= JACOBI_TOL
 
 
 def eig_sym3(m: Sym3) -> tuple[float, float, float]:
-    """Eigenvalues of a symmetric 3x3 matrix, sorted descending: :func:`_jacobi` on floats."""
-    return tuple(sorted(_jacobi(m.d00, m.d01, m.d02, m.d11, m.d12, m.d22, FLOATS), reverse=True))
+    """Eigenvalues of a symmetric 3x3 matrix, sorted descending.
+
+    Cyclic Jacobi rotations, each annihilating one off-diagonal entry
+    exactly, so the iteration is unconditionally stable.  A rotation is
+    skipped where its entry is exactly 0, and the sweeps stop once the
+    largest off-diagonal entry is below ``JACOBI_TOL`` or
+    ``JACOBI_MAX_SWEEPS`` sweeps have run.
+    """
+    a = (m.d00, m.d01, m.d02, m.d11, m.d12, m.d22)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if not _live(a[1], a[2], a[4], FLOATS):
+            break
+        a = _sweep(*a, FLOATS)
+    return tuple(sorted((a[0], a[3], a[5]), reverse=True))
+
+
+def jacobi_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
+    """Unsorted eigenvalues of a stack of symmetric 3x3 matrices given entrywise.
+
+    Returns the final diagonals (a00, a11, a22) as one array of shape
+    (3, ...); the entries broadcast against each other.  Every lane runs
+    :func:`eig_sym3`'s sweeps with the same bits, but only the live lanes
+    stay in the arrays: a lane that freezes writes its diagonal to the result
+    and leaves, so the later sweeps, which few lanes need, run on those
+    lanes alone.
+    """
+    entries = np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
+    shape = entries[0].shape
+    a = [np.asarray(x, dtype=float).reshape(-1) for x in entries]  # read only: every step makes new arrays
+    out = np.empty((3, a[0].size))
+    lanes = np.arange(a[0].size)
+    with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
+        for _ in range(JACOBI_MAX_SWEEPS):
+            live = _live(a[1], a[2], a[4], np)
+            if not live.all():
+                done = np.flatnonzero(~live)
+                at = lanes.take(done)
+                for row, x in zip(out, (a[0], a[3], a[5])):
+                    row[at] = x.take(done)
+                keep = np.flatnonzero(live)
+                lanes = lanes.take(keep)
+                a = [x.take(keep) if np.ndim(x) else x for x in a]  # a12 may be the float 0.0
+                if not lanes.size:
+                    break
+            a = _sweep(*a, np)
+    for row, x in zip(out, (a[0], a[3], a[5])):
+        row[lanes] = x
+    return out.reshape((3,) + shape)
 
 
 def eig_sym3_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
     """Eigenvalues of a stack of symmetric 3x3 matrices given entrywise, shape (..., 3).
 
-    The entries broadcast against each other, and :func:`_jacobi` runs on
-    the arrays.  Rows are sorted descending with ties kept in diagonal
-    order, as ``sorted`` does, so every row equals ``eig_sym3`` of that lane
-    bit for bit.  The fixed cost of the array calls makes it much slower than
-    ``eig_sym3`` on a single matrix.
+    :func:`jacobi_batch`, with rows sorted descending and ties kept in
+    diagonal order, as ``sorted`` does, so every row equals ``eig_sym3`` of
+    that lane bit for bit.  The fixed cost of the array calls makes it much
+    slower than ``eig_sym3`` on a single matrix.
     """
-    entries = (np.array(x, dtype=float) for x in np.broadcast_arrays(d00, d01, d02, d11, d12, d22))
-    with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
-        e = np.stack(_jacobi(*entries, np), axis=-1)
+    e = np.moveaxis(jacobi_batch(d00, d01, d02, d11, d12, d22), 0, -1)
     return np.take_along_axis(e, np.argsort(-e, axis=-1, kind="stable"), axis=-1)
 
 

@@ -18,18 +18,19 @@ from .bloch import density_from_bloch
 from .canonical import factorize
 from .channel import rotation_channel
 from .cp import CP_TOL, _charpoly_from_margin, chi_entries, closed_form_verdict
-from .linalg import eig_sym3_batch, rotation_matrix
+from .linalg import jacobi_batch, rotation_matrix
 
 BOUNDARY_BAND = 1e-7
 CHUNK = 4096  # points per array evaluation in every sweep but the double-angle one
 # The grid, random and round-trip sweeps evaluate CHUNK points at a time, and
 # random points are drawn chunk by chunk from one generator (the same stream
 # as one up-front draw), so their memory stays flat in their size.  Their
-# time does not: a grid point costs about 0.15 us, a random point about
-# 0.7 us and a round trip about 0.5 us (best of 3, Python 3.11, numpy 2.4,
+# time does not: a grid point costs about 0.07 us, a random point about
+# 0.5 us and a round trip about 0.4 us (best of 3, Python 3.11, numpy 2.4,
 # one core of an x86-64 Xeon VM).  These limits keep the largest run near
-# 1.5 s: 0.6 s of grid and 0.7 s of random points; the round trip is capped
-# at 10^4 points, about 5 ms, whatever sizes the command line asks for.
+# 1 s of process time: 0.3 s of grid and 0.5 s of random points; the round
+# trip is capped at 10^4 points, about 4 ms, whatever sizes the command
+# line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
 ROUNDTRIP_SPAN = 2.0  # round-trip entries are drawn from [-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN]
@@ -39,7 +40,8 @@ DOUBLE_ANGLE_TOL = 1e-12  # largest deviation from the double-angle law that pas
 
 def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
     """Sign of the smallest Jacobi eigenvalue of chi, elementwise over arrays."""
-    return eig_sym3_batch(*chi_entries(lam1, lam2, w1, w2))[..., 2] >= -CP_TOL
+    e0, e1, e2 = jacobi_batch(*chi_entries(lam1, lam2, w1, w2))
+    return np.minimum(np.minimum(e0, e1), e2) >= -CP_TOL
 
 
 def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:

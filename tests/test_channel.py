@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rebit.bloch import bloch_from_density, density_from_bloch, state_polar
+from rebit.bloch import SIGMA_1, SIGMA_2, bloch_from_density, density_from_bloch, state_polar
 from rebit.channel import (
     AffineChannel,
     NotPositiveError,
@@ -129,6 +129,30 @@ def test_reflections_induce_bloch_reflections():
         det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
         assert abs(det_r + 1.0) <= 1e-12
         assert np.abs(r.T @ r - np.eye(2)).max() <= 1e-12
+
+
+def trace_formula_bloch_map(omega):
+    """R_jk = Tr(sigma_j Omega sigma_k Omega^t) / 2, one entry at a time."""
+    sig = (SIGMA_1, SIGMA_2)
+    r = np.empty((2, 2))
+    for j in range(2):
+        for k in range(2):
+            r[j, k] = 0.5 * np.trace(sig[j] @ omega @ sig[k] @ omega.T)
+    return r
+
+
+def test_bloch_map_matches_the_entrywise_trace_formula():
+    rng = np.random.default_rng(21)
+    dets = set()
+    for _ in range(1000):
+        omega = random_orthogonal(rng)
+        r = orthogonal_channel(omega).bloch_map
+        assert np.abs(r - trace_formula_bloch_map(omega)).max() <= 1e-15
+        det_omega = omega[0, 0] * omega[1, 1] - omega[0, 1] * omega[1, 0]
+        det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
+        assert math.copysign(1.0, det_r) == math.copysign(1.0, det_omega)
+        dets.add(math.copysign(1.0, det_omega))
+    assert dets == {1.0, -1.0}  # rotations and reflections both
 
 
 def test_conjugation_consistency():

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ def test_sampler_unital_flag():
         channel = sample_cp_channel(seed, unital=True)
         assert np.abs(channel.w).max() == 0.0
         assert is_cp(channel).is_cp
+
+
+@pytest.mark.parametrize("unital", [False, True])
+def test_sampled_channels_hold_at_most_385_bytes_each(unital):
+    # Each channel holds its two row views and a slotted instance: about
+    # 3.45 MB per 10^4 channels.  Filling an instance __dict__ raised it to
+    # 5.4 MB; 3.85 MB is what object.__setattr__ on a dict-less instance held.
+    tracemalloc.start()
+    try:
+        channels = sample_cp_channels(np.random.default_rng(0), 10_000, unital=unital)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(channels) == 10_000
+    assert held <= 3.85e6
 
 
 def test_sampler_stream_matches_single_draws():

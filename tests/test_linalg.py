@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebit.cp import chi_matrix
-from rebit.linalg import Rotation2, Sym3, eig_sym3, eig_sym3_batch, rotation_matrix, svd2
+import rebit.linalg as linalg
+from rebit.linalg import FLOATS, Rotation2, Sym3, eig_sym3, eig_sym3_batch, rotation_matrix, svd2
 
 
 def svd_parts(a):
@@ -110,34 +111,77 @@ def batch_matches_scalar(matrices):
     return batched.shape == scalar.shape and np.array_equal(batched.view(np.int64), scalar.view(np.int64))
 
 
-def test_eig_sym3_batch_matches_scalar_on_random_matrices():
+def random_matrices():
     rng = np.random.default_rng(98)
     full = [Sym3(*rng.uniform(-2.0, 2.0, 6)) for _ in range(3000)]
     chi = [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(3000)]
+    return full, chi
+
+
+CORNERS = [
+    Sym3(1.5, 0.0, 0.0, 0.5, 0.0, 0.5),  # diagonal with a tie
+    Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),  # zero
+    Sym3(0.0, 0.0, 0.0, -0.0, 0.0, -0.0),  # signed zeros keep their diagonal order
+    Sym3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0),  # triple tie
+    Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5),  # exact tie inside the rotated block
+    Sym3(1.0, 1.0, 1.0, 1.0, 1.0, 1.0),  # rank one, equal diagonal (tau = 0)
+    Sym3(1e-14, 7e-15, 0.0, 2e-14, 0.0, 0.0),  # off-diagonal just below JACOBI_TOL: frozen
+    Sym3(1.0, 1e-170, 0.5, 0.0, 0.3, 2.0),  # tau * tau overflows to inf
+    chi_matrix(0.5, -0.5, 0.0, 0.0),  # q2 = 0
+    chi_matrix(-0.5, 0.5, 0.0, 0.0),  # q1 = 0
+    chi_matrix(-0.5, -0.5, 0.0, 0.0),  # q0 = 0
+    chi_matrix(0.0, 0.0, 0.0, 1.0),  # singular, on the determinant boundary
+    chi_matrix(1.0, 1.0, 0.0, 0.0),  # identity channel
+    chi_matrix(0.5, -0.5, 0.3, 0.0),  # q2 = 0 with a shift: negative eigenvalue
+]
+
+
+def test_eig_sym3_batch_matches_scalar_on_random_matrices():
+    full, chi = random_matrices()
     assert batch_matches_scalar(full)
     assert batch_matches_scalar(chi)
 
 
 def test_eig_sym3_batch_matches_scalar_on_corner_cases():
-    corners = [
-        Sym3(1.5, 0.0, 0.0, 0.5, 0.0, 0.5),  # diagonal with a tie
-        Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),  # zero
-        Sym3(0.0, 0.0, 0.0, -0.0, 0.0, -0.0),  # signed zeros keep their diagonal order
-        Sym3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0),  # triple tie
-        Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5),  # exact tie inside the rotated block
-        Sym3(1.0, 1.0, 1.0, 1.0, 1.0, 1.0),  # rank one, equal diagonal (tau = 0)
-        Sym3(1e-14, 7e-15, 0.0, 2e-14, 0.0, 0.0),  # off-diagonal just below JACOBI_TOL: frozen
-        Sym3(1.0, 1e-170, 0.5, 0.0, 0.3, 2.0),  # tau * tau overflows to inf
-        chi_matrix(0.5, -0.5, 0.0, 0.0),  # q2 = 0
-        chi_matrix(-0.5, 0.5, 0.0, 0.0),  # q1 = 0
-        chi_matrix(-0.5, -0.5, 0.0, 0.0),  # q0 = 0
-        chi_matrix(0.0, 0.0, 0.0, 1.0),  # singular, on the determinant boundary
-        chi_matrix(1.0, 1.0, 0.0, 0.0),  # identity channel
-        chi_matrix(0.5, -0.5, 0.3, 0.0),  # q2 = 0 with a shift: negative eigenvalue
-    ]
-    assert batch_matches_scalar(corners)
-    for m in corners:  # one lane at a time, too
+    assert batch_matches_scalar(CORNERS)
+    for m in CORNERS:  # one lane at a time, too
         assert batch_matches_scalar([m])
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_eig_sym3_batch_matches_scalar_when_the_sweep_cap_cuts_lanes_off(monkeypatch, cap):
+    # Most random lanes need three or four sweeps, so a cap of 1 to 3 stops
+    # them while they are still live, in the middle of the batch.
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
+    full, chi = random_matrices()
+    assert batch_matches_scalar(CORNERS)
+    assert batch_matches_scalar(full)
+    assert batch_matches_scalar(chi)
+
+
+def sweeps_to_freeze(m):
+    """Number of Jacobi sweeps after which the scalar iteration stops on m."""
+    a = (m.d00, m.d01, m.d02, m.d11, m.d12, m.d22)
+    sweeps = 0
+    while linalg._live(a[1], a[2], a[4], FLOATS):
+        a = linalg._sweep(*a, FLOATS)
+        sweeps += 1
+    return sweeps
+
+
+def test_eig_sym3_batch_retires_lanes_that_freeze_at_different_sweeps():
+    rng = np.random.default_rng(7)
+    pool = [Sym3(1.0, 0.0, 0.0, 0.5, 0.0, -0.5), Sym3(1.0, 0.5, 0.0, 0.5, 0.0, -0.5)]  # 0 and 1 sweeps
+    pool += [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(400)]
+    pool += [Sym3(*rng.uniform(-2.0, 2.0, 6)) for _ in range(400)]
+    first = {}
+    for m in pool:
+        first.setdefault(sweeps_to_freeze(m), m)
+    assert {0, 1, 2, 3, 4} <= set(first)
+    lanes = [first[k] for k in sorted(first)]
+    batch = lanes + lanes[::-1] + lanes[1::2]  # freezing lanes sit between live ones
+    assert batch_matches_scalar(batch)
+    assert batch_matches_scalar(rng.permutation(np.array(pool, dtype=object)).tolist())
 
 
 def test_eig_sym3_batch_broadcasts_scalar_entries():

@@ -6,8 +6,8 @@ import pytest
 import rebit.verify as verify
 from rebit.canonical import decompose_channel, factorize, reconstruction_residual
 from rebit.channel import AffineChannel
-from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict
-from rebit.linalg import eig_sym3
+from rebit.cp import CP_TOL, charpoly_coeffs, chi_entries, chi_matrix, closed_form_verdict
+from rebit.linalg import eig_sym3, eig_sym3_batch
 from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, roundtrip_sweep, run_verify, unital_grid_sweep
 
 
@@ -65,6 +65,32 @@ def test_sweeps_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     monkeypatch.setattr(verify, "CHUNK", chunk)
     assert unital_grid_sweep(0.5) == grid_reference(0.5)
     assert random_sweep(60, 3) == random_reference(60, 3)
+
+
+CHI_CORNERS = [
+    (0.5, -0.5, 0.0, 0.0),  # q2 = 0
+    (-0.5, 0.5, 0.0, 0.0),  # q1 = 0
+    (-0.5, -0.5, 0.0, 0.0),  # q0 = 0
+    (0.0, 0.0, 0.0, 1.0),  # singular, on the determinant boundary
+    (1.0, 1.0, 0.0, 0.0),  # identity channel
+    (0.5, -0.5, 0.3, 0.0),  # q2 = 0 with a shift: negative eigenvalue
+    (0.0, 0.0, 0.0, 0.0),  # completely depolarizing: chi = diag(1, 1, 1) / 2
+    (1.0, -1.0, 0.0, 0.0),  # the reflection diag(1, -1): eigenvalue -1/2, not CP
+]
+
+
+def test_oracle_takes_the_smallest_of_the_sorted_eigenvalues():
+    rng = np.random.default_rng(31)
+    axis = np.linspace(-1.0, 1.0, 21)
+    sets = [
+        np.array(CHI_CORNERS).T,
+        rng.uniform(-1.0, 1.0, (4, 10_000)),
+        (np.repeat(axis, 21), np.tile(axis, 21), 0.0, 0.0),  # scalar shifts broadcast, as on the grid
+    ]
+    for lam1, lam2, w1, w2 in sets:
+        expected = eig_sym3_batch(*chi_entries(lam1, lam2, w1, w2))[..., 2] >= -CP_TOL
+        assert expected.any() and not expected.all()
+        assert np.array_equal(verify._oracle_cp(lam1, lam2, w1, w2), expected)
 
 
 def test_unital_grid_sweep_visits_the_reference_points(monkeypatch):
