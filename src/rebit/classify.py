@@ -18,7 +18,7 @@ import numpy as np
 
 from .canonical import CanonicalForm, decompose_channel, rebuild
 from .channel import AffineChannel, is_unital
-from .cp import CpReport, is_cp, q_values, shift_region_contains
+from .cp import CpReport, canonical_frame, closed_form_verdict, decide, is_cp
 from .linalg import FLOATS, TAU, _peak_norm
 
 CLASS_TOL = 1e-9
@@ -151,13 +151,11 @@ def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> flo
     """Largest distance from the origin to an axis-aligned ellipse boundary.
 
     Exact up to rounding: :func:`rebit.linalg._peak_norm` on Python floats,
-    with the axes ordered larger first (swapping them swaps the centre's
-    coordinates).  Degenerate axes (segments, points) need no special case.
+    with the axes ordered by :func:`rebit.cp.canonical_frame`.  Degenerate
+    axes (segments, points) need no special case.
     """
-    c1, c2 = float(center[0]), float(center[1])
     a1, a2 = abs(float(semi_axes[0])), abs(float(semi_axes[1]))
-    if a1 < a2:
-        c1, c2, a1, a2 = c2, c1, a2, a1
+    a1, a2, c1, c2 = canonical_frame(a1, a2, float(center[0]), float(center[1]), FLOATS)
     return _peak_norm(c1, c2, a1, a2, FLOATS)
 
 
@@ -175,14 +173,15 @@ def _uniform(low, high, u):
 def _sample_shift(rng: np.random.Generator, lam1: float, lam2: float) -> np.ndarray:
     """Rejection-sample a shift whose channel is CP and maps the disk into itself.
 
-    Raises RuntimeError after 100,000 misses: returning a zero shift instead
-    would pass a unital channel off as a non-unital draw.
+    Tries are decided by :func:`rebit.cp.decide` with tolerance 0; lam1 >=
+    |lam2|.  Raises RuntimeError after 100,000 misses: returning a zero shift
+    instead would pass a unital channel off as a non-unital draw.
     """
     lam1, lam2 = float(lam1), float(lam2)
     b1, b2 = max(0.0, 1.0 - abs(lam1)), max(0.0, 1.0 - abs(lam2))
     for _ in range(100_000):
         s1, s2 = rng.uniform(-b1, b1), rng.uniform(-b2, b2)
-        if _admissible(lam1, lam2, s1, s2, FLOATS):
+        if decide(lam1, lam2, s1, s2, FLOATS, 0.0)[0]:
             return np.array([s1, s2])
     raise RuntimeError(f"no admissible shift found for lam = ({lam1}, {lam2})")
 
@@ -194,16 +193,6 @@ def _shift_from(u: np.ndarray, k, lam1, lam2) -> tuple:
     return _uniform(-b1, b1, u[k, 0]), _uniform(-b2, b2, u[k, 1])
 
 
-def _admissible(lam1, lam2, s1, s2, xp=np):
-    """Whether a shift try is admissible: margin >= 0 and a peak norm of at most 1; lam1 >= |lam2|.
-
-    The one test of :func:`_sample_shift` (``xp`` FLOATS) and the batched
-    window (``xp`` numpy), which decide each try alike, bit for bit.
-    """
-    _, margin = shift_region_contains(lam1, lam2, s1, s2)
-    return (margin >= 0.0) & (_peak_norm(s1, s2, lam1, abs(lam2), xp) <= 1.0)
-
-
 def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int, stop: int) -> np.ndarray:
     """Offset of the first admissible shift try among tries ``first`` to ``stop - 1`` after each start, or -1.
 
@@ -212,7 +201,8 @@ def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int,
     tries = starts[:, None] + np.arange(first + 1, stop + 1)
     in_block = tries < len(u) - 1
     tries = np.minimum(tries, len(u) - 1)
-    ok = in_block & _admissible(lam1[:, None], lam2[:, None], *_shift_from(u, tries, lam1[:, None], lam2[:, None]))
+    lam1, lam2 = lam1[:, None], lam2[:, None]
+    ok = in_block & decide(lam1, lam2, *_shift_from(u, tries, lam1, lam2), np, 0.0)[0]
     return np.where(ok.any(axis=1), first + ok.argmax(axis=1), -1)
 
 
@@ -228,31 +218,26 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     two rotation angles (pair k + 1); the next channel starts at pair k + 2.
     The block is evaluated with numpy and walked in that order, from each
     channel's first free pair straight to the next pentagon pair.  Shift
-    tries are decided by :func:`_admissible`, the exact test of
-    :func:`_sample_shift`: the HEAD tries after every pentagon pair at once;
-    then, when the walk reaches a row with no admissible try yet, a window
-    four times as wide for it and every later such row, until the row
-    resolves or its window reaches LOOKAHEAD.  A shift search that finds
-    nothing in the LOOKAHEAD pairs after j, or in the block, or for the
+    tries are decided by :func:`rebit.cp.decide` on arrays, bit for bit as
+    :func:`_sample_shift` decides them: the HEAD tries after every pentagon
+    pair at once; then, when the walk reaches a row with no admissible try
+    yet, a window four times as wide for it and every later such row, until
+    the row resolves or its window reaches LOOKAHEAD.  A shift search that
+    finds nothing in the LOOKAHEAD pairs after j, or in the block, or for the
     block's last channel in the tries decided so far, ends the chunk and is
-    finished by :func:`_sample_shift`.  The generator is rewound and
-    advanced over exactly the doubles the channels used, so it ends where
-    the one-at-a-time sampler leaves it.
+    finished by :func:`_sample_shift`.  The generator is rewound and advanced
+    over exactly the doubles the channels used, so it ends where the
+    one-at-a-time sampler leaves it.
     """
     count = len(a)
     state = rng.bit_generator.state
     pairs = count * PAIRS_PER_CHANNEL + LOOKAHEAD + 2
     u = rng.random((pairs, 2))
     lam1, lam2 = _uniform(-1.0, 1.0, u).T
-    q0, q1, q2 = q_values(lam1, lam2)
-    in_pentagon = (q0 >= 0.0) & (q1 >= 0.0) & (q2 >= 0.0)
+    in_pentagon, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0, 0.0)
     starts = np.flatnonzero(in_pentagon[:-1])  # the pair after a start must be in the block
-    l1, l2 = lam1[starts], lam2[starts]
-    # fold onto the canonical sector lam1 >= |lam2| (the dressing angles
-    # restore full coverage: axis swaps and sign pairs are rotations)
-    hi = np.maximum(abs(l1), abs(l2))
-    lo = np.minimum(abs(l1), abs(l2))
-    lo = np.where(l1 * l2 < 0.0, -lo, lo)
+    # the dressing angles restore what the fold leaves out: axis swaps and sign pairs are rotations
+    hi, lo, _, _ = canonical_frame(lam1[starts], lam2[starts], 0.0, 0.0, np)
     if not unital:
         depth = HEAD  # tries decided after every unresolved start the walk can still reach
         offsets = _first_admissible(u, starts, hi, lo, 0, depth)

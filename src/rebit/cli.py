@@ -163,6 +163,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "count", 1) < 1:
         return _fail("count must be at least 1")
+    if getattr(args, "seed", 0) < 0:
+        return _fail("seed must be non-negative")
     return args.func(args)
 
 

@@ -19,12 +19,12 @@ which stays meaningful when any factor vanishes, unlike the divided ellipse
 form.  It is written only here; :mod:`rebit.verify` checks it against the
 Jacobi eigenvalues of chi.  A channel is completely positive when the closed
 form holds in its canonical frame (lam1 >= |lam2|) and the image of the disk
-stays in the disk there.  The report gives the q-values, margin and rank in
-the diagonal frame, where diagonal channels keep their literal coefficients,
-the frame the rank taxonomy lives in.
+stays in the disk there: :func:`decide` after :func:`canonical_frame`, which
+:func:`is_cp` and the sampler both call.  The report gives the q-values,
+margin and rank in the diagonal frame, where diagonal channels keep their
+literal coefficients, the frame the rank taxonomy lives in.
 """
 
-import math
 from dataclasses import dataclass
 
 from .canonical import decompose_channel
@@ -81,7 +81,7 @@ def charpoly_coeffs(lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) 
 
 
 def _charpoly_from_margin(lam1, lam2, w1, w2, margin) -> tuple:
-    """:func:`charpoly_coeffs` given the margin of :func:`shift_region_contains`."""
+    """:func:`charpoly_coeffs` given the margin of :func:`closed_form_verdict`."""
     ssum = lam1 + lam2
     a = 3.0 + ssum
     b = 3.0 - (w1 * w1 + w2 * w2) + 2.0 * ssum - ssum * ssum
@@ -89,27 +89,50 @@ def _charpoly_from_margin(lam1, lam2, w1, w2, margin) -> tuple:
 
 
 def shift_region_contains(lam1: float, lam2: float, w1: float, w2: float) -> tuple[bool, float]:
-    """Determinant condition in multiplied-out form, with its slack.
-
-    margin = 8 q0 q1 q2 - w1^2 (1-lam1+lam2) - w2^2 (1+lam1-lam2), which is
-    8 det(chi); the shift is admissible when the margin is nonnegative
-    (within ``CP_TOL``).  Callers must already have checked q0, q1, q2 >= 0.
-    """
-    q0, q1, q2 = q_values(lam1, lam2)
-    margin = 8.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q2) - w2 * w2 * (2.0 * q1)
+    """The determinant condition of :func:`closed_form_verdict` alone: (margin >= -CP_TOL, margin)."""
+    _, _, margin = closed_form_verdict(lam1, lam2, w1, w2)
     return margin >= -CP_TOL, margin
 
 
-def closed_form_verdict(
-    lam1: float, lam2: float, w1: float, w2: float
-) -> tuple[bool, tuple[float, float, float], float]:
+def closed_form_verdict(lam1, lam2, w1, w2, tol=CP_TOL) -> tuple:
     """Closed-form CP verdict at diagonal coefficients: (verdict, q, margin).
 
-    Array arguments give elementwise verdicts; Python floats give a ``bool``.
+    margin = 8 q0 q1 q2 - w1^2 (1-lam1+lam2) - w2^2 (1+lam1-lam2), which is
+    8 det(chi).  The q-values and the margin may fall ``tol`` below 0.  Array
+    arguments give elementwise verdicts; Python floats give a ``bool``.
     """
     q0, q1, q2 = q = q_values(lam1, lam2)
-    contained, margin = shift_region_contains(lam1, lam2, w1, w2)
-    return (q0 >= -CP_TOL) & (q1 >= -CP_TOL) & (q2 >= -CP_TOL) & contained, q, margin
+    margin = 8.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q2) - w2 * w2 * (2.0 * q1)
+    return (q0 >= -tol) & (q1 >= -tol) & (q2 >= -tol) & (margin >= -tol), q, margin
+
+
+def canonical_frame(lam1, lam2, w1, w2, xp):
+    """Diagonal coefficients folded onto the canonical frame lam1 >= |lam2|; ``xp`` as in :mod:`rebit.linalg`.
+
+    A quarter turn swaps the axes and the shift where |lam1| < |lam2|, a half
+    turn flips both scales where the larger is negative.  A tied reflection
+    (lam1 + lam2 <= ``TIE_TOL``) takes its shift onto the first axis, the
+    most lenient of its frames.  FLOATS and numpy give the same bits.
+    """
+    a1, a2 = abs(lam1), abs(lam2)
+    norm = xp.sqrt(w1 * w1 + w2 * w2)  # before the swap, which leaves it alone: scalar shifts stay scalar
+    swap = a1 < a2
+    w1, w2 = xp.where(swap, w2, w1), xp.where(swap, w1, w2)
+    hi, lo = xp.maximum(a1, a2), xp.minimum(a1, a2)
+    flip = lam1 * lam2 < 0.0
+    lo = xp.where(flip, -lo, lo)
+    tie = flip & (hi + lo <= TIE_TOL)
+    return hi, lo, xp.where(tie, norm, w1), xp.where(tie, 0.0, w2)
+
+
+def decide(lam1, lam2, w1, w2, xp, tol=CP_TOL) -> tuple:
+    """CP verdict in the canonical frame: (verdict, q, margin); ``xp`` as in :mod:`rebit.linalg`.
+
+    :func:`closed_form_verdict` and a peak norm of the image of at most 1, each
+    with slack ``tol``: ``CP_TOL`` in :func:`is_cp`, 0 in the sampler.
+    """
+    verdict, q, margin = closed_form_verdict(lam1, lam2, w1, w2, tol)
+    return verdict & (_peak_norm(w1, w2, lam1, abs(lam2), xp) <= 1.0 + tol), q, margin
 
 
 def chi_rank(chi: Sym3) -> int:
@@ -152,32 +175,15 @@ def diagonal_frame(channel: AffineChannel) -> tuple[float, float, float, float]:
 
 
 def is_cp(channel: AffineChannel) -> CpReport:
-    """Decide complete positivity in the canonical frame; report in the diagonal frame.
-
-    The verdict is the closed form and a peak norm of the image of at most
-    1 + ``CP_TOL``, both in the canonical frame, onto which a literal diagonal
-    frame folds by a quarter and a half turn; the shift's signs matter to
-    neither test.  A reflection whose scales tie (lam2 = -lam1) has every
-    rotation of its shift as a canonical frame: the verdict takes the most
-    lenient, the shift along the first axis, which keeps the CP set closed.
-    """
+    """Decide complete positivity in the :func:`canonical_frame`; report q, margin and rank in the diagonal frame."""
     frame = diagonal_frame(channel)
-    verdict, q, margin = closed_form_verdict(*frame)
-    lam1, lam2, w1, w2 = frame
-    if abs(lam1) < abs(lam2):  # a quarter turn swaps the axes
-        lam1, lam2, w1, w2 = lam2, lam1, w2, w1
-    if lam1 < 0.0:  # a half turn flips both signs
-        lam1, lam2 = -lam1, -lam2
-    if lam2 < 0.0 and lam1 + lam2 <= TIE_TOL:
-        w1, w2 = math.hypot(w1, w2), 0.0
-    if (lam1, lam2, w1, w2) != frame:
-        verdict, _, _ = closed_form_verdict(lam1, lam2, w1, w2)
-    verdict = verdict and _peak_norm(w1, w2, lam1, abs(lam2), FLOATS) <= 1.0 + CP_TOL
+    canonical = canonical_frame(*frame, FLOATS)
+    verdict, q, margin = decide(*canonical, FLOATS)
+    if canonical != frame:
+        _, q, margin = closed_form_verdict(*frame)
     a, b, det_chi = _charpoly_from_margin(*frame, margin)
     rank = chi_rank(chi_matrix(*frame))
-    return CpReport(
-        q=q, a=a, b=b, det_chi=det_chi, margin=margin, is_cp=verdict, kraus_rank=rank, frame=frame
-    )
+    return CpReport(q=q, a=a, b=b, det_chi=det_chi, margin=margin, is_cp=verdict, kraus_rank=rank, frame=frame)
 
 
 def admissible_pentagon() -> list[tuple[float, float]]:

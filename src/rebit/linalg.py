@@ -25,10 +25,10 @@ def _where(cond, if_true, if_false):
 
 
 # numpy's names bound to their math and builtin counterparts.  On finite
-# inputs arithmetic, abs, sqrt, copysign, maximum and where round alike on
-# both, so a kernel that uses only those (the Jacobi, the peak norm) gives a
-# lane the same bits with FLOATS as with numpy; the trigonometric functions
-# may differ in the last bit.
+# inputs arithmetic, abs, sqrt, copysign, maximum, minimum and where round
+# alike on both, so a kernel that uses only those (the Jacobi, the peak norm,
+# the canonical fold of rebit.cp) gives a lane the same bits with FLOATS as
+# with numpy; hypot and the trigonometric functions may differ in the last bit.
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
     copysign=math.copysign,
@@ -37,6 +37,7 @@ FLOATS = SimpleNamespace(
     cos=math.cos,
     sin=math.sin,
     maximum=max,
+    minimum=min,
     all=bool,
     where=_where,
 )
@@ -288,17 +289,20 @@ def _peak_norm(s1, s2, a1, a2, xp):
     larger of u^(5/16) and u, with square roots only.
 
     Only + - * /, abs, sqrt and maximum are used, so FLOATS and numpy give
-    the same bits.  The floors keep every array lane free of division by
-    zero.
+    the same bits.  The floors keep every lane free of division by zero:
+    t >= b2 * 1e-300 keeps t / mu, and so x, above 0 however far the shift.
+    That floor is reached only where b2 > 1, where the peak exceeds sqrt(2).
     """
-    b1, b2 = a1 * abs(s1), a2 * abs(s2)
+    z1, z2 = abs(s1), abs(s2)
+    b1, b2 = a1 * z1, a2 * z2
+    bb = b1 * b1
     d = (a1 - a2) * (a1 + a2)
     c = d - b2
-    u = b1 * b1 * xp.maximum(d, b2) * 0.125
+    u = bb * xp.maximum(d, b2) * 0.125
     r = xp.sqrt(xp.sqrt(u))
     e = xp.maximum(xp.maximum(-c, r * xp.sqrt(xp.sqrt(r))), u)  # max(b2 - d, an upper bound on u^(1/3))
     t = xp.maximum(xp.maximum(b1 + c, u / xp.maximum(e * e, 1e-300)), 1e-300)
-    t = xp.maximum(t, b1 * b1 / (xp.sqrt(b1 * b1 + b2 * b2) + b2 + 1e-300))
+    t = xp.maximum(xp.maximum(t, bb / (xp.sqrt(bb + b2 * b2) + b2 + 1e-300)), b2 * 1e-300)
     for _ in range(NEWTON_STEPS):
         mu = t + b2
         y = b2 / mu
@@ -308,5 +312,5 @@ def _peak_norm(s1, s2, a1, a2, xp):
     mu = t + b2
     y = b2 / mu
     x = xp.sqrt(t / mu * (1.0 + y))
-    p1, p2 = abs(s1) + a1 * x, abs(s2) + a2 * y
+    p1, p2 = z1 + a1 * x, z2 + a2 * y
     return xp.sqrt(p1 * p1 + p2 * p2)

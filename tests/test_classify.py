@@ -22,10 +22,9 @@ from rebit.classify import (
     kraus_rank,
     sample_cp_channel,
     sample_cp_channels,
-    _admissible,
     _sample_shift,
 )
-from rebit.cp import chi_matrix, chi_rank, is_cp, q_values, shift_region_contains
+from rebit.cp import chi_matrix, chi_rank, decide, is_cp, q_values, shift_region_contains
 from rebit.linalg import FLOATS, TAU, _peak_norm, rotation_matrix
 
 DIAG = AffineChannel.diagonal
@@ -457,6 +456,17 @@ def test_peak_norm_matches_the_quartic_on_floats_and_arrays():
     assert (np.abs(swapped - exact) <= 1e-15 * np.maximum(exact, 1.0)).all()
 
 
+def test_peak_norm_of_circles_with_far_centres():
+    # b2 = a2 |s2| far above 1: without the floor t >= b2 * 1e-300, t / mu underflows
+    # to 0 and the float path divides by zero
+    s1, s2, r = np.array([[0.0, 1e30, 0.5], [1e-200, 4e7, 1e15], [3.0, -1e100, 0.9], [0.0, 1e12, 1e-3]]).T
+    peak = _peak_norm(s1, s2, r, r, np)
+    assert (np.abs(peak - (np.hypot(s1, s2) + r)) <= 1e-15 * peak).all()
+    scalar = [_peak_norm(*lane, FLOATS) for lane in zip(s1.tolist(), s2.tolist(), r.tolist(), r.tolist())]
+    assert np.array(scalar).tobytes() == peak.tobytes()
+    assert ellipse_peak_norm((0.0, 1e30), (0.5, 0.5)) == 1e30
+
+
 def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
     """The shift test of _sample_shift, one try at a time, with each peak norm checked against the quartic."""
     decisions = []
@@ -469,8 +479,8 @@ def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
 
 
 def float_decision(lam1, lam2, s1, s2) -> list[bool]:
-    """_admissible run with FLOATS, one try at a time: the path _sample_shift takes."""
-    return [_admissible(*lane, FLOATS) for lane in zip(lam1.tolist(), lam2.tolist(), s1.tolist(), s2.tolist())]
+    """decide with FLOATS and tolerance 0, one try at a time: the path _sample_shift takes."""
+    return [decide(*lane, FLOATS, 0.0)[0] for lane in zip(lam1.tolist(), lam2.tolist(), s1.tolist(), s2.tolist())]
 
 
 def test_admissible_matches_the_scalar_decision_on_the_rim():
@@ -490,7 +500,7 @@ def test_admissible_matches_the_scalar_decision_on_the_rim():
     s1, s2 = np.concatenate([s1, ts1]), np.concatenate([s2, ts2])
     exact = scalar_decision(lam1, lam2, s1, s2)
     assert 0 < sum(exact[:n]) < n and 0 < sum(exact[n:]) < 1000
-    admissible = _admissible(lam1, lam2, s1, s2)
+    admissible, _, _ = decide(lam1, lam2, s1, s2, np, 0.0)  # the batched sampler's test
     assert admissible.tolist() == exact
     assert float_decision(lam1, lam2, s1, s2) == admissible.tolist()
 
@@ -498,7 +508,7 @@ def test_admissible_matches_the_scalar_decision_on_the_rim():
 def test_admissible_matches_the_scalar_decision_off_the_rim():
     a1, a2, s1, s2 = random_ellipses(np.random.default_rng(57), 3000)
     lam2 = np.where(np.arange(3000) % 2 == 0, a2, -a2)
-    admissible = _admissible(a1, lam2, s1, s2)
+    admissible, _, _ = decide(a1, lam2, s1, s2, np, 0.0)
     assert admissible.any() and not admissible.all()
     assert admissible.tolist() == scalar_decision(a1, lam2, s1, s2)
     assert float_decision(a1, lam2, s1, s2) == admissible.tolist()

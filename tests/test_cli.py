@@ -118,6 +118,16 @@ def test_classify_refuses_non_cp_with_report(tmp_path, capsys):
     assert json.loads(out)["is_cp"] is False
 
 
+@pytest.mark.parametrize("command", ["check", "classify"])
+@pytest.mark.parametrize(
+    "doc", [{"A": [[0.5, 0], [0, 0.5]], "w": [0, 1e30]}, {"A": [[1e30, 0], [0, 1e30]], "w": [-1e30, 1e154]}]
+)
+def test_far_finite_channels_exit_two_with_a_report(tmp_path, capsys, command, doc):
+    code, out, _ = run_cli(capsys, command, write_channel(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["is_cp"] is False
+
+
 def test_input_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -211,6 +221,12 @@ def test_import_leaves_numpy_random_unloaded():
 def test_sample_rejects_bad_count(capsys):
     code, _, err = run_cli(capsys, "sample", "--count", "0")
     assert code == 1 and "count" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_negative_seed_exits_one_without_output(capsys, command):
+    code, out, err = run_cli(capsys, command, "--seed", "-1")
+    assert code == 1 and out == "" and err.startswith("error: ") and "non-negative" in err
 
 
 def test_verify_small_run(capsys):
