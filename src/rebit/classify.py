@@ -18,7 +18,7 @@ import numpy as np
 
 from .canonical import CanonicalForm, decompose_channel, rebuild
 from .channel import AffineChannel, is_unital
-from .cp import CpReport, canonical_frame, closed_form_verdict, decide, is_cp
+from .cp import CpReport, canonical_frame, canonical_scales, decide, is_cp, pentagon_verdict
 from .linalg import FLOATS, TAU, _peak_norm
 
 CLASS_TOL = 1e-9
@@ -160,7 +160,8 @@ def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> flo
 
 
 CHUNK = 1024  # channels drawn from one block and built together: bounds the sampler's memory
-PAIRS_PER_CHANNEL = 6  # block size: a channel takes about 4.6 pairs of draws (2.6 if unital)
+PAIRS_PER_CHANNEL = 6  # block size: a channel takes about 4.6 pairs of draws
+UNITAL_PAIRS_PER_CHANNEL = 3  # the same for unital channels, which take about 2.6
 HEAD = 1  # shift tries decided after every pentagon pair at first; 61 % of them are admissible
 LOOKAHEAD = 64  # the widest window, reached fourfold from HEAD where the walk needs it; then _sample_shift
 
@@ -231,13 +232,13 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     """
     count = len(a)
     state = rng.bit_generator.state
-    pairs = count * PAIRS_PER_CHANNEL + LOOKAHEAD + 2
+    pairs = count * (UNITAL_PAIRS_PER_CHANNEL if unital else PAIRS_PER_CHANNEL) + LOOKAHEAD + 2
     u = rng.random((pairs, 2))
     lam1, lam2 = _uniform(-1.0, 1.0, u).T
-    in_pentagon, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0, 0.0)
+    in_pentagon, _ = pentagon_verdict(lam1, lam2, 0.0)
     starts = np.flatnonzero(in_pentagon[:-1])  # the pair after a start must be in the block
     # the dressing angles restore what the fold leaves out: axis swaps and sign pairs are rotations
-    hi, lo, _, _ = canonical_frame(lam1[starts], lam2[starts], 0.0, 0.0, np)
+    hi, lo = canonical_scales(lam1[starts], lam2[starts], np)
     if not unital:
         depth = HEAD  # tries decided after every unresolved start the walk can still reach
         offsets = _first_admissible(u, starts, hi, lo, 0, depth)

@@ -20,7 +20,8 @@ form.  It is written only here; :mod:`rebit.verify` checks it against the
 Jacobi eigenvalues of chi.  A channel is completely positive when the closed
 form holds in its canonical frame (lam1 >= |lam2|) and the image of the disk
 stays in the disk there: :func:`decide` after :func:`canonical_frame`, which
-:func:`is_cp` and the sampler both call.  The report gives the q-values,
+:func:`is_cp` calls, and after its scale part :func:`canonical_scales`, which
+the sampler calls before it draws a shift.  The report gives the q-values,
 margin and rank in the diagonal frame, where diagonal channels keep their
 literal coefficients, the frame the rank taxonomy lives in.
 """
@@ -32,6 +33,7 @@ from .channel import AffineChannel
 from .linalg import FLOATS, Sym3, _peak_norm, eig_sym3
 
 CP_TOL = 1e-9  # one-sided boundary slack: the admissible region is closed
+PEAK_BAND = 1e-9  # band around (1 + tol)^2 in which decide's bounds on the squared peak norm defer to Newton
 DIAGONAL_TOL = 1e-12
 TIE_TOL = 1e-12  # lam1 + lam2 at or below which a reflection's two scales tie
 
@@ -94,6 +96,18 @@ def shift_region_contains(lam1: float, lam2: float, w1: float, w2: float) -> tup
     return margin >= -CP_TOL, margin
 
 
+def pentagon_verdict(lam1, lam2, tol=CP_TOL) -> tuple:
+    """Whether the scales lie in the unital admissible pentagon: (verdict, q).
+
+    The q-values may fall ``tol`` below 0.  With ``tol`` 0 this is
+    :func:`closed_form_verdict` at zero shift, whose margin 8 q0 q1 q2 is then
+    nonnegative wherever the q-values are.  Array arguments give elementwise
+    verdicts.
+    """
+    q0, q1, q2 = q = q_values(lam1, lam2)
+    return (q0 >= -tol) & (q1 >= -tol) & (q2 >= -tol), q
+
+
 def closed_form_verdict(lam1, lam2, w1, w2, tol=CP_TOL) -> tuple:
     """Closed-form CP verdict at diagonal coefficients: (verdict, q, margin).
 
@@ -101,9 +115,17 @@ def closed_form_verdict(lam1, lam2, w1, w2, tol=CP_TOL) -> tuple:
     8 det(chi).  The q-values and the margin may fall ``tol`` below 0.  Array
     arguments give elementwise verdicts; Python floats give a ``bool``.
     """
-    q0, q1, q2 = q = q_values(lam1, lam2)
+    verdict, q = pentagon_verdict(lam1, lam2, tol)
+    q0, q1, q2 = q
     margin = 8.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q2) - w2 * w2 * (2.0 * q1)
-    return (q0 >= -tol) & (q1 >= -tol) & (q2 >= -tol) & (margin >= -tol), q, margin
+    return verdict & (margin >= -tol), q, margin
+
+
+def canonical_scales(lam1, lam2, xp):
+    """The scales of :func:`canonical_frame` alone: (lam1, lam2) folded onto lam1 >= |lam2|."""
+    a1, a2 = abs(lam1), abs(lam2)
+    lo = xp.minimum(a1, a2)
+    return xp.maximum(a1, a2), xp.where(lam1 * lam2 < 0.0, -lo, lo)
 
 
 def canonical_frame(lam1, lam2, w1, w2, xp):
@@ -114,14 +136,11 @@ def canonical_frame(lam1, lam2, w1, w2, xp):
     (lam1 + lam2 <= ``TIE_TOL``) takes its shift onto the first axis, the
     most lenient of its frames.  FLOATS and numpy give the same bits.
     """
-    a1, a2 = abs(lam1), abs(lam2)
+    hi, lo = canonical_scales(lam1, lam2, xp)
     norm = xp.sqrt(w1 * w1 + w2 * w2)  # before the swap, which leaves it alone: scalar shifts stay scalar
-    swap = a1 < a2
+    swap = abs(lam1) < abs(lam2)
     w1, w2 = xp.where(swap, w2, w1), xp.where(swap, w1, w2)
-    hi, lo = xp.maximum(a1, a2), xp.minimum(a1, a2)
-    flip = lam1 * lam2 < 0.0
-    lo = xp.where(flip, -lo, lo)
-    tie = flip & (hi + lo <= TIE_TOL)
+    tie = (lo < 0.0) & (hi + lo <= TIE_TOL)  # lo < 0 only where the half turn flipped one scale
     return hi, lo, xp.where(tie, norm, w1), xp.where(tie, 0.0, w2)
 
 
@@ -129,10 +148,30 @@ def decide(lam1, lam2, w1, w2, xp, tol=CP_TOL) -> tuple:
     """CP verdict in the canonical frame: (verdict, q, margin); ``xp`` as in :mod:`rebit.linalg`.
 
     :func:`closed_form_verdict` and a peak norm of the image of at most 1, each
-    with slack ``tol``: ``CP_TOL`` in :func:`is_cp`, 0 in the sampler.
+    with slack ``tol``: ``CP_TOL`` in :func:`is_cp`, 0 in the sampler.  The
+    squared peak norm is at most |w|^2 + lam1^2 + 2 |b|, with b = (lam1 |w1|,
+    |lam2 w2|), and at least the squared norm of the image's farthest point on
+    either axis, (|w1| + lam1, |w2|) or (|w1|, |w2| + |lam2|).  A bound that
+    lies more than ``PEAK_BAND`` on its side of (1 + tol)^2 decides; the
+    Newton peak norm of :func:`rebit.linalg._peak_norm` runs only on the lanes
+    the closed form accepts and the bounds leave open, compressed out of
+    arrays and skipped on floats.
     """
     verdict, q, margin = closed_form_verdict(lam1, lam2, w1, w2, tol)
-    return verdict & (_peak_norm(w1, w2, lam1, abs(lam2), xp) <= 1.0 + tol), q, margin
+    a2, z1, z2 = abs(lam2), abs(w1), abs(w2)
+    b1, b2 = lam1 * z1, a2 * z2
+    v1, v2 = w1 * w1, w2 * w2
+    edge = (1.0 + tol) * (1.0 + tol)
+    inside = verdict & (v1 + v2 + lam1 * lam1 + 2.0 * xp.sqrt(b1 * b1 + b2 * b2) <= edge - PEAK_BAND)
+    p1, p2 = z1 + lam1, z2 + a2
+    unsure = (verdict ^ inside) & (xp.maximum(p1 * p1 + v2, v1 + p2 * p2) <= edge + PEAK_BAND)
+    if xp is FLOATS or unsure.ndim == 0:  # a single lane: no arrays to compress
+        return inside or (unsure and _peak_norm(w1, w2, lam1, a2, xp) <= 1.0 + tol), q, margin
+    if unsure.any():
+        shape = unsure.shape  # broadcast only what needs it: broadcast_to costs as much as several ufuncs
+        lanes = (x[unsure] if xp.shape(x) == shape else xp.broadcast_to(x, shape)[unsure] for x in (w1, w2, lam1, a2))
+        inside[unsure] = _peak_norm(*lanes, xp) <= 1.0 + tol
+    return inside, q, margin
 
 
 def chi_rank(chi: Sym3) -> int:

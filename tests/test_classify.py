@@ -24,11 +24,13 @@ from rebit.classify import (
     sample_cp_channels,
     _sample_shift,
 )
-from rebit.cp import chi_matrix, chi_rank, decide, is_cp, q_values, shift_region_contains
+from rebit.cp import CP_TOL, chi_matrix, chi_rank, closed_form_verdict, decide, is_cp, q_values, shift_region_contains
 from rebit.linalg import FLOATS, TAU, _peak_norm, rotation_matrix
+from test_cp import FAR_FRAMES
 
 DIAG = AffineChannel.diagonal
 classify_module = importlib.import_module("rebit.classify")  # the package attribute is the function
+cp_module = importlib.import_module("rebit.cp")
 
 
 def test_kraus_rank_vertex_edge_interior():
@@ -372,6 +374,7 @@ def test_sampler_stream_survives_blocks_that_run_out(monkeypatch, seed, unital):
 
     sample_chunk = classify_module._sample_chunk
     monkeypatch.setattr(classify_module, "PAIRS_PER_CHANNEL", 1)
+    monkeypatch.setattr(classify_module, "UNITAL_PAIRS_PER_CHANNEL", 1)
     monkeypatch.setattr(classify_module, "_sample_chunk", counted)
     assert_same_stream(seed, CHUNK + 40, unital)
     assert len(blocks) > 2  # 2 without running out: CHUNK, then 40
@@ -390,6 +393,49 @@ def test_sampler_finishes_long_shift_searches_with_the_scalar_loop(monkeypatch):
     monkeypatch.setattr(classify_module, "_sample_shift", counted)
     assert_same_stream(11, 120, unital=False)
     assert len(tails) > 10
+
+
+def test_sampler_sends_few_shift_tries_to_newton(monkeypatch):
+    # decide's closed-form bounds settle most tries; the Newton peak norm gets the rest
+    decided, newton = [], []
+
+    def counted_decide(lam1, lam2, w1, w2, xp, tol):
+        decided.append(np.broadcast(lam1, lam2, w1, w2).size)
+        return decide(lam1, lam2, w1, w2, xp, tol)
+
+    def counted_peak_norm(s1, s2, a1, a2, xp):
+        newton.append(np.broadcast(s1, s2, a1, a2).size)
+        return _peak_norm(s1, s2, a1, a2, xp)
+
+    monkeypatch.setattr(classify_module, "decide", counted_decide)
+    monkeypatch.setattr(cp_module, "_peak_norm", counted_peak_norm)
+    sample_cp_channels(np.random.default_rng(9), 10**4)
+    assert sum(decided) > 10**5
+    assert 0 < sum(newton) < 0.15 * sum(decided)
+
+
+# PCG64 states after sample_cp_channels(default_rng(seed), 10**4, unital): the
+# number of doubles drawn, which every verdict of the sampler sets, and nothing
+# that rounds differently across platforms (cos, sin, matmul)
+PINNED_STATES = {
+    (0, False): 223309362680474810356807554790289689485,
+    (0, True): 142927005611384967437629997341063469385,
+    (1, False): 125517445112863556197131111669057292240,
+    (1, True): 284630804769205133994398593876166698002,
+    (2, False): 34213849993585035746142091056621295508,
+    (2, True): 302574655704903662024428910984185001612,
+    (3, False): 282253810928319282904586091775930957403,
+    (3, True): 255577545134626852623419141548789610685,
+}
+
+
+@pytest.mark.parametrize("seed, unital", sorted(PINNED_STATES))
+def test_sampler_leaves_the_generator_in_its_pinned_state(seed, unital):
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    sample_cp_channels(rng, 10**4, unital)
+    state["state"]["state"] = PINNED_STATES[seed, unital]
+    assert rng.bit_generator.state == state
 
 
 def test_sampled_channels_are_read_only_and_finite():
@@ -503,6 +549,50 @@ def test_admissible_matches_the_scalar_decision_on_the_rim():
     admissible, _, _ = decide(lam1, lam2, s1, s2, np, 0.0)  # the batched sampler's test
     assert admissible.tolist() == exact
     assert float_decision(lam1, lam2, s1, s2) == admissible.tolist()
+
+
+def rim_ellipses(rng: np.random.Generator, ellipses, tol: float):
+    """The ellipses scaled about the origin so that their peak norm lies within 1e-12 of 1 + tol."""
+    a1, a2, s1, s2 = ellipses
+    scale = (1.0 + tol) * (1.0 + rng.uniform(-1e-12, 1e-12, len(a1))) / _peak_norm(s1, s2, a1, a2, np)
+    return a1 * scale, a2 * scale, s1 * scale, s2 * scale
+
+
+def test_decide_equals_the_closed_form_and_the_newton_peak_norm():
+    # the bounds must never settle a lane the other way from the peak norm: on
+    # the rim, on the peak norm's hard families and on far frames
+    rng = np.random.default_rng(71)
+    near_circles = random_ellipses(rng, 10000)
+    near_circles[1][:] = 0.95 * near_circles[0]
+    near_circles[2][::2] = 0.0
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, 10000)
+    log_scaled = tuple(part * scale for part in random_ellipses(rng, 10000))
+    families = [
+        random_ellipses(rng, 20000),
+        rim_ellipses(rng, random_ellipses(rng, 20000), 0.0),
+        rim_ellipses(rng, random_ellipses(rng, 20000), CP_TOL),
+        rim_ellipses(rng, tangent_ellipses(rng, 10000), 0.0),
+        tangent_ellipses(rng, 10000),
+        near_circles,
+        log_scaled,
+        tuple(np.array(part) for part in zip(*FAR_FRAMES)),
+    ]
+    a1, a2, s1, s2 = (np.concatenate(parts) for parts in zip(*families))
+    lam2 = np.where(np.arange(len(a1)) % 2 == 0, a2, -a2)
+    assert len(a1) > 10**5
+    lanes = list(zip(a1.tolist(), lam2.tolist(), s1.tolist(), s2.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # the far frames overflow to inf
+        peak = _peak_norm(s1, s2, a1, a2, np)
+        for tol in (0.0, CP_TOL):
+            closed, _, _ = closed_form_verdict(a1, lam2, s1, s2, tol)
+            expected = closed & (peak <= 1.0 + tol)
+            on_rim = closed & (abs(peak - (1.0 + tol)) <= 1e-12)
+            assert np.count_nonzero(on_rim & expected) > 1000 and np.count_nonzero(on_rim & ~expected) > 1000
+            verdicts, _, _ = decide(a1, lam2, s1, s2, np, tol)
+            assert verdicts.tolist() == expected.tolist()
+            assert [decide(*lane, FLOATS, tol)[0] for lane in lanes] == expected.tolist()
+            rim = np.flatnonzero(on_rim)[::50]  # single lanes as numpy scalars
+            assert [decide(*(x[i] for x in (a1, lam2, s1, s2)), np, tol)[0] for i in rim] == expected[rim].tolist()
 
 
 def test_admissible_matches_the_scalar_decision_off_the_rim():

@@ -443,17 +443,17 @@ def test_decide_gives_floats_and_arrays_the_same_bits():
         assert margin.tobytes() == np.array([lane_margin for _, _, lane_margin in lanes]).tobytes()
 
 
-@pytest.mark.parametrize(
-    "frame",
-    [
-        (0.5, 0.5, 0.0, 1e30),  # a shift far outside the disk, along the second axis
-        (0.5, 0.5, 3e200, -1e30),
-        (1e30, 1e30, -1e30, 1e154),  # scales so large that the closed form holds by rounding
-        (1e15, 1e15, 1e-200, 4e7),
-    ],
-)
+FAR_FRAMES = [
+    (0.5, 0.5, 0.0, 1e30),  # a shift far outside the disk, along the second axis
+    (0.5, 0.5, 3e200, -1e30),
+    (1e30, 1e30, -1e30, 1e154),  # scales so large that the closed form holds by rounding
+    (1e15, 1e15, 1e-200, 4e7),
+]
+
+
+@pytest.mark.parametrize("frame", FAR_FRAMES)
 def test_decide_refuses_far_frames_without_dividing_by_zero(frame):
-    # the float path raises ZeroDivisionError where a Newton step of the peak norm divides by 0
+    # the closed form or the bounds refuse these frames, on floats and on arrays, without dividing by zero
     frame = canonical_frame(*frame, FLOATS)
     assert decide(*frame, FLOATS)[0] is False
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):  # the far lane overflows to inf
