@@ -55,16 +55,16 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
 
 
 def density_from_bloch(v: np.ndarray) -> np.ndarray:
-    """Assemble (I + v . sigma) / 2 for a Bloch vector inside the disk."""
+    """Assemble (I + v . sigma) / 2 for a Bloch vector inside the disk, or for each of a stack (..., 2)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (2,):
-        raise InvalidStateError(f"expected a 2-vector, got shape {v.shape}")
+    if v.shape[-1:] != (2,):
+        raise InvalidStateError(f"expected a 2-vector or a stack of them, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidStateError("Bloch vector entries must be finite")
-    norm = math.hypot(v[0], v[1])
+    norm = float(np.hypot(v[..., 0], v[..., 1]).max(initial=0.0))
     if norm > 1.0 + STRUCT_TOL:
         raise InvalidStateError(f"Bloch vector norm {norm!r} exceeds 1")
-    return _assemble_density(v[0], v[1])
+    return np.moveaxis(_assemble_density(v[..., 0], v[..., 1]), (0, 1), (-2, -1))
 
 
 def state_polar(r: float, theta: float) -> np.ndarray:

@@ -121,7 +121,7 @@ class OrthogonalChannel:
     bloch_map: np.ndarray = field(compare=False)
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        return self.omega @ np.asarray(rho, dtype=float) @ self.omega.T
+        return self.omega @ np.asarray(rho, dtype=float) @ np.swapaxes(self.omega, -1, -2)
 
 
 def apply(channel: AffineChannel, rho: np.ndarray) -> np.ndarray:
@@ -149,19 +149,20 @@ def is_unital(channel: AffineChannel) -> bool:
 
 
 def orthogonal_channel(omega: np.ndarray) -> OrthogonalChannel:
-    """Build the conjugation channel for Omega in O(2).
+    """Build the conjugation channel for Omega in O(2), or one for a stack (..., 2, 2) of them.
 
     The induced Bloch map is the trace formula
     R_jk = Tr(sigma_j Omega sigma_k Omega^t) / 2, contracted in one einsum.
     Rotations by alpha induce the Bloch rotation by 2*alpha; reflections
-    induce Bloch reflections, so det(R) always equals det(Omega).
+    induce Bloch reflections, so det(R) always equals det(Omega).  Every
+    matrix of a stack must be orthogonal to within ``ORTHO_TOL``.
     """
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (2, 2) or not np.all(np.isfinite(omega)):
-        raise ValueError("Omega must be a finite 2x2 matrix")
-    if np.abs(omega.T @ omega - np.eye(2)).max() > ORTHO_TOL:
+    if omega.shape[-2:] != (2, 2) or not np.all(np.isfinite(omega)):
+        raise ValueError("Omega must be a finite 2x2 matrix or a stack of them")
+    if np.abs(np.swapaxes(omega, -1, -2) @ omega - np.eye(2)).max(initial=0.0) > ORTHO_TOL:
         raise ValueError("Omega is not orthogonal")
-    r = 0.5 * np.einsum("jab,bc,kcd,ad->jk", _SIGMAS, omega, _SIGMAS, omega)
+    r = 0.5 * np.einsum("jab,...bc,kcd,...ad->...jk", _SIGMAS, omega, _SIGMAS, omega)
     return OrthogonalChannel(omega=omega, bloch_map=r)
 
 

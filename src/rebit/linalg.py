@@ -17,6 +17,11 @@ TAU = 2.0 * math.pi
 MATRIX_TOL = 1e-12  # orthogonality / symmetry slack of the from_matrix constructors
 JACOBI_TOL = 1e-14  # off-diagonal size at which the Jacobi sweeps stop
 JACOBI_MAX_SWEEPS = 100
+# Band beyond a floor that jacobi_batch's eigenvalue bounds must clear to settle
+# a lane, times 1 + max |a_ii| + ||offdiag||_F: 40 times the converged sweeps'
+# distance to the spectrum (sqrt(6) JACOBI_TOL, absolute) and over 1000 times
+# the rounding of the bounds and of the sweeps (a few dozen ulps of that scale).
+FLOOR_BAND = 1e-12
 NEWTON_STEPS = 8  # 6 already agree with 60 to 5e-16 on near-tangent, near-circle and log-scaled ellipses
 
 
@@ -43,8 +48,13 @@ FLOATS = SimpleNamespace(
 )
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    """Counterclockwise rotation [[cos t, -sin t], [sin t, cos t]]."""
+def rotation_matrix(theta) -> np.ndarray:
+    """Counterclockwise rotation [[cos t, -sin t], [sin t, cos t]]; a stack (..., 2, 2) for an array of angles."""
+    if np.ndim(theta):
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("rotation angles must be finite")
+        c, s = np.cos(theta), np.sin(theta)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
@@ -223,7 +233,7 @@ def eig_sym3(m: Sym3) -> tuple[float, float, float]:
     return tuple(sorted((a[0], a[3], a[5]), reverse=True))
 
 
-def jacobi_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
+def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     """Unsorted eigenvalues of a stack of symmetric 3x3 matrices given entrywise.
 
     Returns the final diagonals (a00, a11, a22) as one array of shape
@@ -232,25 +242,38 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
     stay in the arrays: a lane that freezes writes its diagonal to the result
     and leaves, so the later sweeps, which few lanes need, run on those
     lanes alone.
+
+    With a ``floor``, for callers that read only whether the smallest
+    eigenvalue reaches it, a lane also leaves with its current diagonal once
+    Rayleigh's bound (lambda_min <= min a_ii) or Weyl's (lambda_min >= min
+    a_ii - ||offdiag||_F) clears the floor by ``FLOOR_BAND`` (1 + max |a_ii| +
+    ||offdiag||_F): its smallest diagonal entry is then on the same side of
+    the floor as the converged one.
     """
     entries = np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
     shape = entries[0].shape
     a = [np.asarray(x, dtype=float).reshape(-1) for x in entries]  # read only: every step makes new arrays
     out = np.empty((3, a[0].size))
     lanes = np.arange(a[0].size)
-    with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
-        for _ in range(JACOBI_MAX_SWEEPS):
-            live = _live(a[1], a[2], a[4], np)
-            if not live.all():
-                done = np.flatnonzero(~live)
-                at = lanes.take(done)
-                for row, x in zip(out, (a[0], a[3], a[5])):
-                    row[at] = x.take(done)
-                keep = np.flatnonzero(live)
-                lanes = lanes.take(keep)
-                a = [x.take(keep) if np.ndim(x) else x for x in a]  # a12 may be the float 0.0
-                if not lanes.size:
-                    break
+    for _ in range(JACOBI_MAX_SWEEPS):
+        stay = _live(a[1], a[2], a[4], np)
+        if floor is not None and stay.any():
+            least = np.minimum(np.minimum(a[0], a[3]), a[5])
+            most = np.maximum(np.maximum(a[0], a[3]), a[5])
+            off = np.sqrt(2.0 * (a[1] * a[1] + a[2] * a[2] + a[4] * a[4]))
+            band = FLOOR_BAND * (1.0 + np.maximum(most, -least) + off)
+            stay &= (least + band >= floor) & (least - off - band < floor)
+        if not stay.all():
+            done = np.flatnonzero(~stay)
+            at = lanes.take(done)
+            for row, x in zip(out, (a[0], a[3], a[5])):
+                row[at] = x.take(done)
+            keep = np.flatnonzero(stay)
+            lanes = lanes.take(keep)
+            a = [x.take(keep) if np.ndim(x) else x for x in a]  # a12 may be the float 0.0
+            if not lanes.size:
+                break
+        with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
             a = _sweep(*a, np)
     for row, x in zip(out, (a[0], a[3], a[5])):
         row[lanes] = x

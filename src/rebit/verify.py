@@ -16,7 +16,7 @@ import numpy as np
 
 from .bloch import density_from_bloch
 from .canonical import factorize
-from .channel import rotation_channel
+from .channel import orthogonal_channel
 from .cp import CP_TOL, _charpoly_from_margin, chi_entries, closed_form_verdict
 from .linalg import jacobi_batch, rotation_matrix
 
@@ -26,11 +26,11 @@ CHUNK = 4096  # points per array evaluation in every sweep but the double-angle 
 # random points are drawn chunk by chunk from one generator (the same stream
 # as one up-front draw), so their memory stays flat in their size.  Their
 # time does not: a grid point costs about 0.07 us, a random point about
-# 0.5 us and a round trip about 0.4 us (best of 3, Python 3.11, numpy 2.4,
-# one core of an x86-64 Xeon VM).  These limits keep the largest run near
-# 1 s of process time: 0.3 s of grid and 0.5 s of random points; the round
-# trip is capped at 10^4 points, about 4 ms, whatever sizes the command
-# line asks for.
+# 0.3 us and a round trip about 0.4 us (best of 5, Python 3.11, numpy 2.4,
+# one core of an x86-64 Xeon VM whose speed drifts by up to 2x).  These
+# limits keep the largest run near 0.5 s of process time: 0.25 s of grid
+# and 0.3 s of random points; the round trip is capped at 10^4 points,
+# about 4 ms, whatever sizes the command line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
 ROUNDTRIP_SPAN = 2.0  # round-trip entries are drawn from [-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN]
@@ -39,8 +39,13 @@ DOUBLE_ANGLE_TOL = 1e-12  # largest deviation from the double-angle law that pas
 
 
 def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
-    """Sign of the smallest Jacobi eigenvalue of chi, elementwise over arrays."""
-    e0, e1, e2 = jacobi_batch(*chi_entries(lam1, lam2, w1, w2))
+    """Sign of the smallest Jacobi eigenvalue of chi, elementwise over arrays.
+
+    The floor lets :func:`jacobi_batch` stop a point's sweeps once its
+    eigenvalue bounds settle the sign; the smallest diagonal entry it returns
+    then lies on the same side of -CP_TOL as the converged sweeps' would.
+    """
+    e0, e1, e2 = jacobi_batch(*chi_entries(lam1, lam2, w1, w2), floor=-CP_TOL)
     return np.minimum(np.minimum(e0, e1), e2) >= -CP_TOL
 
 
@@ -121,24 +126,20 @@ def double_angle_sweep(count: int = 100, seed: int = 0) -> tuple[int, float]:
     """Orthogonal channels of rotations: Bloch map equals the doubled rotation.
 
     Also conjugates random states directly and compares against the Bloch
-    rotation.  Returns (failures, max_deviation) at tolerance DOUBLE_ANGLE_TOL.
+    rotation.  Each point draws its angle alpha, then the polar radius and
+    angle of its state; all points run at once as stacks.  Returns (failures,
+    max_deviation) at tolerance DOUBLE_ANGLE_TOL.
     """
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(count):
-        alpha = rng.uniform(0.0, 2.0 * math.pi)
-        chan = rotation_channel(alpha)
-        dev = np.abs(chan.bloch_map - rotation_matrix(2.0 * alpha)).max()
-        r = rng.uniform(0.0, 1.0)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        v = np.array([r * math.cos(phi), r * math.sin(phi)])
-        rho = density_from_bloch(v)
-        dev = max(dev, np.abs(chan.conjugate(rho) - density_from_bloch(chan.bloch_map @ v)).max())
-        worst = max(worst, dev)
-        if dev > DOUBLE_ANGLE_TOL:
-            failures += 1
-    return failures, worst
+    alpha, r, phi = rng.uniform(0.0, (2.0 * math.pi, 1.0, 2.0 * math.pi), (count, 3)).T
+    chan = orthogonal_channel(rotation_matrix(alpha))
+    v = np.stack([r * np.cos(phi), r * np.sin(phi)], -1)
+    image = density_from_bloch((chan.bloch_map @ v[:, :, None])[:, :, 0])
+    dev = np.maximum(
+        abs(chan.bloch_map - rotation_matrix(2.0 * alpha)).max(axis=(1, 2)),
+        abs(chan.conjugate(density_from_bloch(v)) - image).max(axis=(1, 2)),
+    )
+    return int(np.count_nonzero(dev > DOUBLE_ANGLE_TOL)), float(dev.max(initial=0.0))
 
 
 @dataclass(frozen=True)

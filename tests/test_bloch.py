@@ -52,6 +52,20 @@ def test_density_from_bloch_boundary_point():
 def test_density_from_bloch_rejects_outside_disk():
     with pytest.raises(InvalidStateError):
         density_from_bloch([0.8, 0.8])
+    with pytest.raises(InvalidStateError):
+        density_from_bloch([[0.0, 0.0], [0.8, 0.8]])  # one vector of a stack is enough
+    with pytest.raises(InvalidStateError):
+        density_from_bloch(0.5)
+
+
+def test_density_from_bloch_of_a_stack_is_the_stack_of_states():
+    v = np.random.default_rng(5).uniform(-0.7, 0.7, (2, 3, 2))
+    rhos = density_from_bloch(v)
+    assert rhos.shape == (2, 3, 2, 2)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(rhos[i, j], density_from_bloch(v[i, j]))
+    assert density_from_bloch(np.empty((0, 2))).shape == (0, 2, 2)
 
 
 def test_state_polar_center_any_angle():

@@ -120,6 +120,28 @@ def test_orthogonal_channel_rejects_non_orthogonal():
         orthogonal_channel(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
 
+def test_orthogonal_channel_of_a_stack_is_the_stack_of_channels():
+    rng = np.random.default_rng(18)
+    omegas = np.stack([rotation_matrix(a) for a in rng.uniform(0.0, 2 * math.pi, 6)])
+    omegas[::2] = omegas[::2] @ np.diag([1.0, -1.0])  # reflections too
+    chan = orthogonal_channel(omegas.reshape(2, 3, 2, 2))
+    rhos = np.stack([state_polar(r, t) for r, t in rng.uniform(0.0, 1.0, (6, 2))]).reshape(2, 3, 2, 2)
+    for k, omega in enumerate(omegas):
+        one = orthogonal_channel(omega)
+        i, j = divmod(k, 3)
+        assert np.abs(chan.bloch_map[i, j] - one.bloch_map).max() <= 1e-15
+        assert np.abs(chan.conjugate(rhos)[i, j] - one.conjugate(rhos[i, j])).max() <= 1e-15
+    assert orthogonal_channel(np.empty((0, 2, 2))).bloch_map.shape == (0, 2, 2)
+
+
+def test_orthogonal_channel_checks_every_matrix_of_a_stack():
+    omegas = np.stack([np.eye(2), rotation_matrix(1.0), np.array([[1.0, 0.2], [0.0, 1.0]])])
+    with pytest.raises(ValueError):
+        orthogonal_channel(omegas)
+    with pytest.raises(ValueError):
+        orthogonal_channel(np.eye(3))
+
+
 def test_reflections_induce_bloch_reflections():
     # conjugating by a reflection reflects the disk: det R = det Omega = -1
     rng = np.random.default_rng(17)

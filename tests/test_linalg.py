@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebit.cp import chi_matrix
+from rebit.cp import CP_TOL, chi_matrix
 import rebit.linalg as linalg
 from rebit.linalg import FLOATS, Rotation2, Sym3, eig_sym3, eig_sym3_batch, rotation_matrix, svd2
 
@@ -28,6 +28,17 @@ def test_rotation_matrix_special_angles():
     assert np.abs(rotation_matrix(0.0) - np.eye(2)).max() == 0.0
     assert np.abs(rotation_matrix(math.pi) - np.diag([-1.0, -1.0])).max() < 1e-15
     assert np.abs(rotation_matrix(math.pi / 2) - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-15
+
+
+def test_rotation_matrix_of_an_array_is_the_stack_of_rotations():
+    angles = np.random.default_rng(2).uniform(-7.0, 7.0, (2, 3))
+    stack = rotation_matrix(angles)
+    assert stack.shape == (2, 3, 2, 2)
+    for i in range(2):
+        for j in range(3):
+            assert np.abs(stack[i, j] - rotation_matrix(float(angles[i, j]))).max() <= 1e-15
+    with pytest.raises(ValueError):
+        rotation_matrix(np.array([0.0, math.nan]))
 
 
 def test_rotation2_normalizes_angle():
@@ -102,11 +113,16 @@ def test_eig_sym3_diagonal():
     assert eig_sym3(Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
 
+FIELDS = ("d00", "d01", "d02", "d11", "d12", "d22")
+
+
+def stacked(matrices):
+    return [np.array([getattr(m, f) for m in matrices]) for f in FIELDS]
+
+
 def batch_matches_scalar(matrices):
     """eig_sym3_batch (the numpy path) on the stacked matrices equals eig_sym3 (the FLOATS path) on each, bit for bit."""
-    fields = ("d00", "d01", "d02", "d11", "d12", "d22")
-    entries = [np.array([getattr(m, f) for m in matrices]) for f in fields]
-    batched = eig_sym3_batch(*entries)
+    batched = eig_sym3_batch(*stacked(matrices))
     scalar = np.array([eig_sym3(m) for m in matrices]).reshape(len(matrices), 3)
     return batched.shape == scalar.shape and np.array_equal(batched.view(np.int64), scalar.view(np.int64))
 
@@ -157,6 +173,71 @@ def test_eig_sym3_batch_matches_scalar_when_the_sweep_cap_cuts_lanes_off(monkeyp
     assert batch_matches_scalar(CORNERS)
     assert batch_matches_scalar(full)
     assert batch_matches_scalar(chi)
+
+
+def at_the_floor(entries, floor):
+    """The matrices shifted along the diagonal so that their smallest converged eigenvalue is the floor, to a few ulps."""
+    shift = floor - eig_sym3_batch(*entries)[:, 2]
+    d00, d01, d02, d11, d12, d22 = entries
+    return [d00 + shift, d01, d02, d11 + shift, d12, d22 + shift]
+
+
+def weyl_tight(rng, n):
+    """t I + c (J - I) with c < 0 and 1.75 |c| <= t < 2 |c|: eigenvalues t - 2|c| < 0 and t + |c| (twice).
+
+    min a_ii - ||offdiag||_F = t - sqrt(6) |c| < 0, but t - sqrt(3) |c| > 0, so
+    a Weyl bound that drops the Frobenius norm's factor 2 calls them PSD.
+    """
+    c = -rng.uniform(0.05, 1.0, n)
+    t = -c * rng.uniform(1.75, 2.0, n)
+    return [t, c, c, t, c, t]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, linalg.JACOBI_MAX_SWEEPS])
+def test_jacobi_batch_floor_keeps_every_verdict_when_the_sweep_cap_cuts_lanes_off(monkeypatch, cap):
+    # A lane that the bounds settle leaves early with its smallest diagonal
+    # entry on the converged sweeps' side of the floor; every other lane runs
+    # the same (capped) sweeps as without a floor and keeps their bits.
+    rng = np.random.default_rng(12)
+    full, chi = map(stacked, random_matrices())
+    cases = [
+        (full, 0.0),
+        (full, -1.0),
+        (chi, -CP_TOL),
+        (at_the_floor(full, -0.5), -0.5),
+        (at_the_floor(chi, -CP_TOL), -CP_TOL),
+        (weyl_tight(rng, 3000), 0.0),
+    ]
+    converged = [eig_sym3_batch(*entries)[:, 2] >= floor for entries, floor in cases]
+    uncapped = cap == linalg.JACOBI_MAX_SWEEPS
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
+    settled = 0
+    for (entries, floor), expected in zip(cases, converged):
+        early = linalg.jacobi_batch(*entries, floor=floor)
+        same = (early.view(np.int64) == linalg.jacobi_batch(*entries).view(np.int64)).all(axis=0)
+        assert np.all(same | ((early.min(axis=0) >= floor) == expected))
+        if uncapped:
+            assert np.array_equal(early.min(axis=0) >= floor, expected)
+        settled += np.count_nonzero(~same)
+    assert (settled > 0) == (cap > 0)  # no sweep, no check: a cap of 0 returns the diagonals as they came
+
+
+def test_jacobi_batch_floor_settles_only_the_lanes_beyond_the_band():
+    # Before any sweep, Rayleigh's bound (min a_ii below the floor) and
+    # Weyl's (min a_ii - ||offdiag||_F above it) settle a lane only when they
+    # clear the floor by the band, FLOOR_BAND (1 + max |a_ii| + ||offdiag||_F);
+    # a lane inside the band sweeps at least once.
+    rng = np.random.default_rng(8)
+    for scale, floor in [(1.0, -CP_TOL), (1.0, 0.0), (1e3, -500.0)]:
+        a01, a02 = scale * rng.uniform(-0.3, 0.3, (2, 600))
+        off = np.sqrt(2.0 * (a01 * a01 + a02 * a02))
+        big = 2.0 * scale  # the largest |a_ii|, and never the smallest a_ii
+        band = linalg.FLOOR_BAND * (1.0 + big + off)
+        depth = rng.choice([0.25, 0.5, 0.9, 1.1, 2.0, 10.0], 600)
+        a00 = np.where(rng.random(600) < 0.5, floor - depth * band, floor + off + depth * band)
+        early = linalg.jacobi_batch(a00, a01, a02, big, 0.0, big, floor=floor)
+        swept = (early != np.stack(np.broadcast_arrays(a00, big, big))).any(axis=0)
+        assert np.array_equal(swept, depth < 1.0)
 
 
 def sweeps_to_freeze(m):

@@ -1,13 +1,17 @@
 """The batched sweeps against one-point-at-a-time reference loops."""
 
+import math
+
 import numpy as np
 import pytest
 
+import rebit.linalg as linalg
 import rebit.verify as verify
+from rebit.bloch import density_from_bloch
 from rebit.canonical import decompose_channel, factorize, reconstruction_residual
-from rebit.channel import AffineChannel
-from rebit.cp import CP_TOL, charpoly_coeffs, chi_entries, chi_matrix, closed_form_verdict
-from rebit.linalg import eig_sym3, eig_sym3_batch
+from rebit.channel import AffineChannel, OrthogonalChannel, orthogonal_channel
+from rebit.cp import CP_TOL, charpoly_coeffs, chi_entries, chi_matrix, closed_form_verdict, pentagon_verdict, q_values
+from rebit.linalg import eig_sym3, eig_sym3_batch, jacobi_batch, rotation_matrix
 from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, roundtrip_sweep, run_verify, unital_grid_sweep
 
 
@@ -79,18 +83,95 @@ CHI_CORNERS = [
 ]
 
 
+def rim_points(rng, n, spread):
+    """(lam1, lam2, w1, w2) inside the pentagon, the shift scaled to within a relative ``spread`` of margin 0."""
+    lam1, lam2 = rng.uniform(-1.0, 1.0, (2, 4 * n))
+    q0, q1, q2 = q_values(lam1, lam2)
+    inside = np.flatnonzero((q0 > 0.0) & (q1 > 0.0) & (q2 > 0.0))[:n]
+    lam1, lam2, q0, q1, q2 = (x[inside] for x in (lam1, lam2, q0, q1, q2))
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    u1, u2 = np.cos(phi), np.sin(phi)
+    t = np.sqrt(8.0 * q0 * q1 * q2 / (u1 * u1 * (2.0 * q2) + u2 * u2 * (2.0 * q1)))
+    t *= 1.0 + rng.uniform(-spread, spread, n)
+    return lam1, lam2, t * u1, t * u2
+
+
+def floor_rim_points(rng, n):
+    """Rim points pushed out to where the converged smallest eigenvalue of chi crosses -CP_TOL, to 1e-16..1e-10."""
+    lam1, lam2, w1, w2 = rim_points(rng, n, 0.0)
+
+    def below(k):
+        return eig_sym3_batch(*chi_entries(lam1, lam2, k * w1, k * w2))[:, 2] < -CP_TOL
+
+    lo, hi = np.ones(n), np.full(n, 2.0)
+    crossed = below(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        out = below(mid)
+        lo, hi = np.where(out, lo, mid), np.where(out, mid, hi)
+    k = hi * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, -10.0, n))
+    return lam1[crossed], lam2[crossed], (k * w1)[crossed], (k * w2)[crossed]
+
+
+def q_zero_lines(rng):
+    """The lines q0 = 0, q1 = 0 and q2 = 0 and their copies at q = -CP_TOL, without and with a shift.
+
+    Each shift has one zero component, so that a point on q1 = 0 (q2 = 0),
+    which only w1 (w2) couples, can stay PSD.
+    """
+    line = np.linspace(-1.0, 1.0, 401)
+    lines = []
+    for q in (0.0, -CP_TOL):
+        lines += [(line, 2.0 * q - 1.0 - line), (line, line + 1.0 - 2.0 * q), (line, line - 1.0 + 2.0 * q)]
+    lam1, lam2 = (np.concatenate(x) for x in zip(*lines))
+    keep = abs(lam2) <= 1.0
+    lam1, lam2 = lam1[keep], lam2[keep]
+    shift = rng.uniform(-0.2, 0.2, (2, lam1.size))
+    shift[rng.integers(0, 2, lam1.size), np.arange(lam1.size)] = 0.0
+    return [(lam1, lam2, 0.0, 0.0), (lam1, lam2, *shift)]
+
+
 def test_oracle_takes_the_smallest_of_the_sorted_eigenvalues():
+    # The oracle stops a point's sweeps once the eigenvalue bounds settle it,
+    # and still gives the converged sweeps' verdict: also where the smallest
+    # eigenvalue sits at 0 or at the floor, and on chi scaled from 1e-3 to 1e3
+    # with the floor scaled along.
     rng = np.random.default_rng(31)
     axis = np.linspace(-1.0, 1.0, 21)
     sets = [
         np.array(CHI_CORNERS).T,
         rng.uniform(-1.0, 1.0, (4, 10_000)),
         (np.repeat(axis, 21), np.tile(axis, 21), 0.0, 0.0),  # scalar shifts broadcast, as on the grid
+        (np.repeat(axis, 21), np.tile(axis, 21), 0.25, -0.125),
+        np.concatenate([rim_points(rng, 2000, 1e-10), floor_rim_points(rng, 2000)], axis=1),
+        *q_zero_lines(rng),
     ]
     for lam1, lam2, w1, w2 in sets:
-        expected = eig_sym3_batch(*chi_entries(lam1, lam2, w1, w2))[..., 2] >= -CP_TOL
+        entries = chi_entries(lam1, lam2, w1, w2)
+        expected = eig_sym3_batch(*entries)[..., 2] >= -CP_TOL
         assert expected.any() and not expected.all()
         assert np.array_equal(verify._oracle_cp(lam1, lam2, w1, w2), expected)
+        for scale in np.logspace(-3.0, 3.0, 7):
+            scaled = [scale * x for x in entries]
+            floor = -CP_TOL * scale
+            settled = jacobi_batch(*scaled, floor=floor).min(axis=0) >= floor
+            assert np.array_equal(settled, eig_sym3_batch(*scaled)[..., 2] >= floor)
+
+
+def test_random_sweep_runs_fewer_than_one_jacobi_sweep_per_point(monkeypatch):
+    # Run to convergence, a random point takes about three sweeps; the
+    # eigenvalue bounds settle most points before the first.
+    lane_sweeps = 0
+    sweep = linalg._sweep
+
+    def counted(*entries):
+        nonlocal lane_sweeps
+        lane_sweeps += np.size(entries[0])
+        return sweep(*entries)
+
+    monkeypatch.setattr(linalg, "_sweep", counted)
+    assert random_sweep(100_000, 0)[:2] == (100_000, 0)
+    assert 0 < lane_sweeps < 100_000
 
 
 def test_unital_grid_sweep_visits_the_reference_points(monkeypatch):
@@ -179,3 +260,84 @@ def test_a_wrong_factorization_fails_verify(monkeypatch, wrong):
     report = run_verify(grid_step=1.0, samples=50)
     assert report.mismatches == 1
     assert report.max_roundtrip_residual > 1e-10
+
+
+def wrong_closed_form(margin_of):
+    """closed_form_verdict with its margin computed by ``margin_of(q0, q1, q2, w1, w2)``."""
+
+    def closed_form(lam1, lam2, w1, w2, tol=CP_TOL):
+        inside, (q0, q1, q2) = pentagon_verdict(lam1, lam2, tol)
+        margin = margin_of(q0, q1, q2, w1, w2)
+        return inside & (margin >= -tol), (q0, q1, q2), margin
+
+    return closed_form
+
+
+def margin_with_4(q0, q1, q2, w1, w2):
+    return 4.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q2) - w2 * w2 * (2.0 * q1)
+
+
+def margin_with_q1_q2_swapped(q0, q1, q2, w1, w2):
+    return 8.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q1) - w2 * w2 * (2.0 * q2)
+
+
+def converged_oracle(lam1, lam2, w1, w2):
+    """_oracle_cp without the floor: every point's sweeps run to convergence."""
+    e0, e1, e2 = jacobi_batch(*chi_entries(lam1, lam2, w1, w2))
+    return np.minimum(np.minimum(e0, e1), e2) >= -CP_TOL
+
+
+@pytest.mark.parametrize("margin_of", [margin_with_4, margin_with_q1_q2_swapped])
+def test_a_wrong_closed_form_fails_verify(monkeypatch, margin_of):
+    assert run_verify(grid_step=0.1, samples=2000).mismatches == 0
+    monkeypatch.setattr(verify, "closed_form_verdict", wrong_closed_form(margin_of))
+    mismatches = run_verify(grid_step=0.1, samples=2000).mismatches
+    monkeypatch.setattr(verify, "_oracle_cp", converged_oracle)
+    assert run_verify(grid_step=0.1, samples=2000).mismatches == mismatches > 0
+
+
+def double_angle_reference(count, seed):
+    rng = np.random.default_rng(seed)
+    failures = 0
+    worst = 0.0
+    for _ in range(count):
+        alpha = rng.uniform(0.0, 2.0 * math.pi)
+        chan = verify.orthogonal_channel(rotation_matrix(alpha))
+        dev = np.abs(chan.bloch_map - rotation_matrix(2.0 * alpha)).max()
+        r = rng.uniform(0.0, 1.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        v = np.array([r * math.cos(phi), r * math.sin(phi)])
+        rho = density_from_bloch(v)
+        dev = max(dev, np.abs(chan.conjugate(rho) - density_from_bloch(chan.bloch_map @ v)).max())
+        worst = max(worst, dev)
+        failures += int(dev > verify.DOUBLE_ANGLE_TOL)
+    return failures, worst
+
+
+@pytest.mark.parametrize("count", [0, 1, 100])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_double_angle_sweep_matches_scalar_reference(count, seed):
+    failures, worst = verify.double_angle_sweep(count, seed)
+    reference = double_angle_reference(count, seed)
+    assert failures == reference[0]
+    assert worst == pytest.approx(reference[1], abs=1e-15)
+    assert type(failures) is int and type(worst) is float
+
+
+def test_double_angle_sweep_counts_failures_as_the_reference_does(monkeypatch):
+    def off_where_cos_is_positive(omega):
+        chan = orthogonal_channel(omega)
+        return OrthogonalChannel(chan.omega, chan.bloch_map + 1e-9 * (chan.omega[..., :1, :1] > 0.0))
+
+    monkeypatch.setattr(verify, "orthogonal_channel", off_where_cos_is_positive)
+    failures, worst = verify.double_angle_sweep(100, 3)
+    assert 0 < failures < 100
+    assert failures == double_angle_reference(100, 3)[0]
+    assert worst == pytest.approx(double_angle_reference(100, 3)[1], abs=1e-15)
+
+
+def test_double_angle_draw_equals_the_per_point_draws():
+    rng = np.random.default_rng(4)
+    single = [[rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)] for _ in range(50)]
+    chunked = np.random.default_rng(4).uniform(0.0, (2.0 * math.pi, 1.0, 2.0 * math.pi), (50, 3))
+    assert np.array_equal(chunked, np.array(single))
