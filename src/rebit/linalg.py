@@ -18,9 +18,9 @@ MATRIX_TOL = 1e-12  # orthogonality / symmetry slack of the from_matrix construc
 JACOBI_TOL = 1e-14  # off-diagonal size at which the Jacobi sweeps stop
 JACOBI_MAX_SWEEPS = 100
 # Band beyond a floor that jacobi_batch's eigenvalue bounds must clear to settle
-# a lane, times 1 + max |a_ii| + ||offdiag||_F: 40 times the converged sweeps'
-# distance to the spectrum (sqrt(6) JACOBI_TOL, absolute) and over 1000 times
-# the rounding of the bounds and of the sweeps (a few dozen ulps of that scale).
+# a lane, times 1 + max |a_ii| + max r_i (Gershgorin's radii): 50 times the converged
+# sweeps' distance to the spectrum (||offdiag||_2 <= max r_i < 2 JACOBI_TOL, absolute)
+# and over 1000 times the rounding of the bounds and of the sweeps (a few dozen ulps of that scale).
 FLOOR_BAND = 1e-12
 NEWTON_STEPS = 8  # 6 already agree with 60 to 5e-16 on near-tangent, near-circle and log-scaled ellipses
 
@@ -245,10 +245,10 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
 
     With a ``floor``, for callers that read only whether the smallest
     eigenvalue reaches it, a lane also leaves with its current diagonal once
-    Rayleigh's bound (lambda_min <= min a_ii) or Weyl's (lambda_min >= min
-    a_ii - ||offdiag||_F) clears the floor by ``FLOOR_BAND`` (1 + max |a_ii| +
-    ||offdiag||_F): its smallest diagonal entry is then on the same side of
-    the floor as the converged one.
+    Rayleigh's bound (lambda_min <= min a_ii) or Gershgorin's (lambda_min >=
+    min over i of a_ii - r_i, r_i = sum over j != i of |a_ij|) clears the
+    floor by ``FLOOR_BAND`` (1 + max |a_ii| + max r_i): its smallest diagonal
+    entry is then on the same side of the floor as the converged one.
     """
     entries = np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
     shape = entries[0].shape
@@ -258,16 +258,18 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     for _ in range(JACOBI_MAX_SWEEPS):
         stay = _live(a[1], a[2], a[4], np)
         if floor is not None and stay.any():
+            r0, r1, r2 = abs(a[1]) + abs(a[2]), abs(a[1]) + abs(a[4]), abs(a[2]) + abs(a[4])  # Gershgorin's radii
             least = np.minimum(np.minimum(a[0], a[3]), a[5])
-            most = np.maximum(np.maximum(a[0], a[3]), a[5])
-            off = np.sqrt(2.0 * (a[1] * a[1] + a[2] * a[2] + a[4] * a[4]))
-            band = FLOOR_BAND * (1.0 + np.maximum(most, -least) + off)
-            stay &= (least + band >= floor) & (least - off - band < floor)
+            band = np.maximum(np.maximum(np.maximum(a[0], a[3]), a[5]), -least) + np.maximum(np.maximum(r0, r1), r2)
+            band = FLOOR_BAND * (1.0 + band)  # the scale, max |a_ii| + max r_i, gets no name: one array less to hold
+            stay &= (least + band >= floor) & (np.minimum(np.minimum(a[0] - r0, a[3] - r1), a[5] - r2) - band < floor)
+            del r0, r1, r2, least, band  # so that the sweep's temporaries do not sit on top of them
         if not stay.all():
             done = np.flatnonzero(~stay)
             at = lanes.take(done)
             for row, x in zip(out, (a[0], a[3], a[5])):
                 row[at] = x.take(done)
+            del done, at  # freed before the sweep, like the bounds' temporaries
             keep = np.flatnonzero(stay)
             lanes = lanes.take(keep)
             a = [x.take(keep) if np.ndim(x) else x for x in a]  # a12 may be the float 0.0

@@ -21,16 +21,16 @@ from .cp import CP_TOL, _charpoly_from_margin, chi_entries, closed_form_verdict
 from .linalg import jacobi_batch, rotation_matrix
 
 BOUNDARY_BAND = 1e-7
-CHUNK = 4096  # points per array evaluation in every sweep but the double-angle one
+CHUNK = 8192  # points per array evaluation in every sweep but the double-angle one
 # The grid, random and round-trip sweeps evaluate CHUNK points at a time, and
 # random points are drawn chunk by chunk from one generator (the same stream
-# as one up-front draw), so their memory stays flat in their size.  Their
-# time does not: a grid point costs about 0.07 us, a random point about
-# 0.3 us and a round trip about 0.4 us (best of 5, Python 3.11, numpy 2.4,
-# one core of an x86-64 Xeon VM whose speed drifts by up to 2x).  These
-# limits keep the largest run near 0.5 s of process time: 0.25 s of grid
-# and 0.3 s of random points; the round trip is capped at 10^4 points,
-# about 4 ms, whatever sizes the command line asks for.
+# as one up-front draw), so their memory stays flat in their size (tracemalloc
+# peaks: 1.5 MiB random, 1.9 MiB round trip).  Their time does not: a grid
+# point costs about 0.07 us, a random point 0.2 us and a round trip 0.4 us
+# (best of 3, Python 3.11, numpy 2.4, one core of an x86-64 Xeon VM whose
+# speed drifts by up to 2x).  These limits keep the largest run near 0.45 s
+# of process time, 0.26 s of grid and 0.2 s of random points; the round trip
+# is capped at 10^4 points, about 4 ms, whatever the command line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
 ROUNDTRIP_SPAN = 2.0  # round-trip entries are drawn from [-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN]
@@ -45,8 +45,7 @@ def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
     eigenvalue bounds settle the sign; the smallest diagonal entry it returns
     then lies on the same side of -CP_TOL as the converged sweeps' would.
     """
-    e0, e1, e2 = jacobi_batch(*chi_entries(lam1, lam2, w1, w2), floor=-CP_TOL)
-    return np.minimum(np.minimum(e0, e1), e2) >= -CP_TOL
+    return jacobi_batch(*chi_entries(lam1, lam2, w1, w2), floor=-CP_TOL).min(axis=0) >= -CP_TOL
 
 
 def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
@@ -82,12 +81,11 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
     mismatches = excluded = b_violations = 0
     for start in range(0, samples, CHUNK):
         lam1, lam2, w1, w2 = rng.uniform(-1.0, 1.0, (min(CHUNK, samples - start), 4)).T
-        closed, (q0, q1, q2), margin = closed_form_verdict(lam1, lam2, w1, w2)
-        _, b, _ = _charpoly_from_margin(lam1, lam2, w1, w2, margin)
-        b_violations += int(np.count_nonzero(closed & (b < -CP_TOL)))
+        closed, q, margin = closed_form_verdict(lam1, lam2, w1, w2)
+        b_violations += int(np.count_nonzero(closed & (_charpoly_from_margin(lam1, lam2, w1, w2, margin)[1] < -CP_TOL)))
+        near = (abs(margin) < BOUNDARY_BAND) | (np.minimum(np.minimum(abs(q[0]), abs(q[1])), abs(q[2])) < BOUNDARY_BAND)
+        del q, margin  # so that the oracle's temporaries do not sit on top of them
         differ = closed != _oracle_cp(lam1, lam2, w1, w2)
-        min_abs_q = np.minimum(np.minimum(abs(q0), abs(q1)), abs(q2))
-        near = (abs(margin) < BOUNDARY_BAND) | (min_abs_q < BOUNDARY_BAND)
         excluded += int(np.count_nonzero(differ & near))
         mismatches += int(np.count_nonzero(differ & ~near))
     return samples, mismatches, excluded, b_violations
@@ -117,7 +115,7 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0) -> tuple[int, float, f
             c1 * s0 - n1 * s1,
             n1 * s0 + c1 * s1,
         )
-        max_residual = max(max_residual, float(abs(np.stack(rebuilt) - entries).max()))
+        max_residual = max(max_residual, *(float(abs(x - e).max()) for x, e in zip(rebuilt, entries)))
         max_det_err = max(max_det_err, float(abs(a00 * a11 - a01 * a10 - lam1 * lam2).max()))
     return samples, max_residual, max_det_err
 

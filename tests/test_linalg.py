@@ -193,6 +193,19 @@ def weyl_tight(rng, n):
     return [t, c, c, t, c, t]
 
 
+def gershgorin_tight(rng, n):
+    """Weighted Laplacians of a triangle, conjugated by a random diag(+-1): every row diagonally dominant with equality.
+
+    Each row's disc reaches down to exactly 0, the smallest eigenvalue (the
+    eigenvector is (1, 1, 1) before the sign flips), and the weights differ,
+    so a radius that misses a term, pairs the wrong entries or drops an abs,
+    or a disc centre of the wrong sign, takes Gershgorin's bound above 0.
+    """
+    x, y, z = rng.uniform(0.05, 1.0, (3, n))
+    s0, s1, s2 = rng.choice([-1.0, 1.0], (3, n))
+    return [x + y, -s0 * s1 * x, -s0 * s2 * y, x + z, -s1 * s2 * z, y + z]
+
+
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, linalg.JACOBI_MAX_SWEEPS])
 def test_jacobi_batch_floor_keeps_every_verdict_when_the_sweep_cap_cuts_lanes_off(monkeypatch, cap):
     # A lane that the bounds settle leaves early with its smallest diagonal
@@ -207,6 +220,7 @@ def test_jacobi_batch_floor_keeps_every_verdict_when_the_sweep_cap_cuts_lanes_of
         (at_the_floor(full, -0.5), -0.5),
         (at_the_floor(chi, -CP_TOL), -CP_TOL),
         (weyl_tight(rng, 3000), 0.0),
+        (at_the_floor(gershgorin_tight(rng, 3000), -CP_TOL), -CP_TOL),
     ]
     converged = [eig_sym3_batch(*entries)[:, 2] >= floor for entries, floor in cases]
     uncapped = cap == linalg.JACOBI_MAX_SWEEPS
@@ -224,20 +238,39 @@ def test_jacobi_batch_floor_keeps_every_verdict_when_the_sweep_cap_cuts_lanes_of
 
 def test_jacobi_batch_floor_settles_only_the_lanes_beyond_the_band():
     # Before any sweep, Rayleigh's bound (min a_ii below the floor) and
-    # Weyl's (min a_ii - ||offdiag||_F above it) settle a lane only when they
-    # clear the floor by the band, FLOOR_BAND (1 + max |a_ii| + ||offdiag||_F);
-    # a lane inside the band sweeps at least once.
+    # Gershgorin's (min over i of a_ii - r_i above it, r_i = sum_j |a_ij|)
+    # settle a lane only when they clear the floor by the band, FLOOR_BAND
+    # (1 + max |a_ii| + max r_i); a lane inside the band sweeps at least once.
+    # The smallest a_ii and its disc, the one that binds, take each row in turn.
     rng = np.random.default_rng(8)
+    upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     for scale, floor in [(1.0, -CP_TOL), (1.0, 0.0), (1e3, -500.0)]:
         a01, a02 = scale * rng.uniform(-0.3, 0.3, (2, 600))
-        off = np.sqrt(2.0 * (a01 * a01 + a02 * a02))
+        r0 = abs(a01) + abs(a02)  # the largest radius, on the row of the smallest a_ii
         big = 2.0 * scale  # the largest |a_ii|, and never the smallest a_ii
-        band = linalg.FLOOR_BAND * (1.0 + big + off)
+        band = linalg.FLOOR_BAND * (1.0 + big + r0)
         depth = rng.choice([0.25, 0.5, 0.9, 1.1, 2.0, 10.0], 600)
-        a00 = np.where(rng.random(600) < 0.5, floor - depth * band, floor + off + depth * band)
-        early = linalg.jacobi_batch(a00, a01, a02, big, 0.0, big, floor=floor)
-        swept = (early != np.stack(np.broadcast_arrays(a00, big, big))).any(axis=0)
-        assert np.array_equal(swept, depth < 1.0)
+        a00 = np.where(rng.random(600) < 0.5, floor - depth * band, floor + r0 + depth * band)
+        wide, zero = np.full(600, big), np.zeros(600)
+        m = np.array([[a00, a01, a02], [a01, wide, zero], [a02, zero, wide]])
+        for k in range(3):
+            p = np.roll(np.arange(3), k)
+            turned = m[p][:, p]
+            early = linalg.jacobi_batch(*(turned[i, j] for i, j in upper), floor=floor)
+            swept = (early != np.stack([turned[i, i] for i in range(3)])).any(axis=0)
+            assert np.array_equal(swept, depth < 1.0)
+        # Where |a01| and |a02| differ, the Frobenius Weyl bound (min a_ii -
+        # ||offdiag||_F, ||offdiag||_F = sqrt(2 (a01^2 + a02^2)) > r0) leaves
+        # open many of the lanes above the floor that Gershgorin settles.
+        off = np.sqrt(2.0 * (a01 * a01 + a02 * a02))
+        weyl_open = a00 - off - linalg.FLOOR_BAND * (1.0 + big + off) < floor
+        assert np.count_nonzero(weyl_open & (a00 > floor) & (depth > 1.0)) > 100
+    # A chi-shaped matrix (a12 = 0), eigenvalues 0.75 -+ sqrt(0.2225) and 1:
+    # Gershgorin's bound, 0.1, settles it at the floor 0 before any sweep,
+    # where Weyl's, 0.5 - 0.4 sqrt(2) < 0, would not; at the floor 0.15 it sweeps.
+    chi = (0.5, 0.4, 0.0, 1.0, 0.0, 1.0)
+    assert np.array_equal(linalg.jacobi_batch(*chi, floor=0.0), [0.5, 1.0, 1.0])
+    assert not np.array_equal(linalg.jacobi_batch(*chi, floor=0.15), [0.5, 1.0, 1.0])
 
 
 def sweeps_to_freeze(m):
