@@ -26,7 +26,6 @@ from .channel import (
     compose,
     is_unital,
     orthogonal_channel,
-    rotation_channel,
 )
 from .classify import (
     ChannelClass,
@@ -104,7 +103,6 @@ __all__ = [
     "orthogonal_channel",
     "q_values",
     "reconstruct",
-    "rotation_channel",
     "rotation_matrix",
     "run_verify",
     "sample_cp_channel",

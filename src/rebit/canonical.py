@@ -110,8 +110,8 @@ def rebuild(theta1, theta2, lam1, lam2, shift) -> tuple[np.ndarray, np.ndarray]:
 
     Takes n of each parameter and an (n, 2) array of shifts; returns the
     linear parts (n, 2, 2) and shifts (n, 2).  Each rotation is built from
-    ``math.cos`` and ``math.sin`` of its angle, as
-    :func:`rebit.linalg.rotation_matrix` builds it.
+    ``math.cos`` and ``math.sin`` of its angle, as the float path of
+    :func:`rebit.linalg.rotation_matrix` builds it (its array path takes ``np.cos``).
     """
     r1, r2 = np.empty((2, len(lam1), 2, 2))
     for r, theta in ((r1, theta1), (r2, theta2)):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import SIGMA_1, SIGMA_2, _assemble_density, bloch_from_density
-from .linalg import rotation_matrix
 
 UNITAL_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -77,12 +76,9 @@ class AffineChannel:
     def diagonal(cls, lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) -> "AffineChannel":
         return cls(np.diag([lam1, lam2]), np.array([w1, w2]))
 
-    def to_json_dict(self, name: str | None = None) -> dict:
-        doc = {"A": [[self.a[0, 0], self.a[0, 1]], [self.a[1, 0], self.a[1, 1]]],
-               "w": [self.w[0], self.w[1]]}
-        if name is not None:
-            doc["name"] = name
-        return doc
+    def to_json_dict(self) -> dict:
+        return {"A": [[self.a[0, 0], self.a[0, 1]], [self.a[1, 0], self.a[1, 1]]],
+                "w": [self.w[0], self.w[1]]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AffineChannel":
@@ -170,10 +166,3 @@ def as_affine(channel: OrthogonalChannel) -> AffineChannel:
     """The orthogonal channel as an affine pair (R_Omega, 0); unital."""
     return AffineChannel(channel.bloch_map, np.zeros(2))
 
-
-def rotation_channel(alpha: float) -> OrthogonalChannel:
-    """Orthogonal channel of the rotation operator by ``alpha``.
-
-    Its Bloch map is the rotation by ``2 * alpha``.
-    """
-    return orthogonal_channel(rotation_matrix(alpha))

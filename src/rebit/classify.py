@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, decompose_channel, rebuild
-from .channel import AffineChannel, is_unital
+from .canonical import decompose_channel, rebuild
+from .channel import AffineChannel
 from .cp import CpReport, canonical_frame, canonical_scales, decide, is_cp, pentagon_verdict
 from .linalg import FLOATS, TAU, _peak_norm
 
@@ -96,7 +96,8 @@ def classify_report(channel: AffineChannel, report: CpReport) -> ChannelClass:
     if not report.is_cp:
         raise NotCompletelyPositiveError(report)
     lam1, lam2, s1, s2 = report.frame
-    if math.hypot(s1, s2) <= CLASS_TOL:
+    unital = math.hypot(s1, s2) <= CLASS_TOL  # one zero-shift decision for the families and General
+    if unital:
         if abs(lam1 - 1.0) <= CLASS_TOL and abs(lam2 - 1.0) <= CLASS_TOL:
             return Identity()
         if abs(lam1) <= CLASS_TOL and abs(lam2) <= CLASS_TOL:
@@ -115,7 +116,7 @@ def classify_report(channel: AffineChannel, report: CpReport) -> ChannelClass:
             return Linear(axis=HORIZONTAL, q=lam1)
         if abs(lam1) <= CLASS_TOL:
             return Linear(axis=VERTICAL, q=lam2)
-    return General(rank=report.kraus_rank, unital=is_unital(channel))
+    return General(rank=report.kraus_rank, unital=unital)
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,6 @@ class ImageEllipse:
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
 
-    @classmethod
-    def from_form(cls, channel: AffineChannel, form: CanonicalForm) -> "ImageEllipse":
-        """The channel's image ellipse, read off its canonical form."""
-        return cls(center=channel.w, semi_axes=(abs(form.lam1), abs(form.lam2)), tilt=form.theta1)
-
 
 def image_ellipse(channel: AffineChannel) -> ImageEllipse:
     """Ellipse swept by the images of the pure states.
@@ -144,7 +140,8 @@ def image_ellipse(channel: AffineChannel) -> ImageEllipse:
     part, tilt is the left canonical rotation angle.  Defined for non-CP
     maps too; containment in the disk then simply fails.
     """
-    return ImageEllipse.from_form(channel, decompose_channel(channel))
+    form = decompose_channel(channel)
+    return ImageEllipse(center=channel.w, semi_axes=(abs(form.lam1), abs(form.lam2)), tilt=form.theta1)
 
 
 def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> float:

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 
 TAU = 2.0 * math.pi
-MATRIX_TOL = 1e-12  # orthogonality / symmetry slack of the from_matrix constructors
 JACOBI_TOL = 1e-14  # off-diagonal size at which the Jacobi sweeps stop
 JACOBI_MAX_SWEEPS = 100
 # Band beyond a floor that jacobi_batch's eigenvalue bounds must clear to settle
@@ -72,17 +71,6 @@ class Rotation2:
             raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
         object.__setattr__(self, "angle", float(self.angle) % TAU)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return rotation_matrix(self.angle)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Rotation2":
-        m = np.asarray(m, dtype=float)
-        if np.abs(m.T @ m - np.eye(2)).max() > MATRIX_TOL or abs(_det2(m) - 1.0) > MATRIX_TOL:
-            raise ValueError("matrix is not a rotation (orthogonal with det 1)")
-        return cls(math.atan2(m[1, 0], m[0, 0]))
-
 
 @dataclass(frozen=True)
 class Sym3:
@@ -99,39 +87,6 @@ class Sym3:
         for name in ("d00", "d01", "d02", "d11", "d12", "d22"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"Sym3 entry {name} must be finite")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.d00, self.d01, self.d02],
-                [self.d01, self.d11, self.d12],
-                [self.d02, self.d12, self.d22],
-            ]
-        )
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Sym3":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if np.abs(m - m.T).max() > MATRIX_TOL:
-            raise ValueError("matrix is not symmetric")
-        return cls(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
-
-    def trace(self) -> float:
-        return self.d00 + self.d11 + self.d22
-
-    def det(self) -> float:
-        return (
-            self.d00 * (self.d11 * self.d22 - self.d12 * self.d12)
-            - self.d01 * (self.d01 * self.d22 - self.d12 * self.d02)
-            + self.d02 * (self.d01 * self.d12 - self.d11 * self.d02)
-        )
-
-
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
 def _check_finite_2x2(a: np.ndarray) -> np.ndarray:
@@ -280,18 +235,6 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     for row, x in zip(out, (a[0], a[3], a[5])):
         row[lanes] = x
     return out.reshape((3,) + shape)
-
-
-def eig_sym3_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
-    """Eigenvalues of a stack of symmetric 3x3 matrices given entrywise, shape (..., 3).
-
-    :func:`jacobi_batch`, with rows sorted descending and ties kept in
-    diagonal order, as ``sorted`` does, so every row equals ``eig_sym3`` of
-    that lane bit for bit.  The fixed cost of the array calls makes it much
-    slower than ``eig_sym3`` on a single matrix.
-    """
-    e = np.moveaxis(jacobi_batch(d00, d01, d02, d11, d12, d22), 0, -1)
-    return np.take_along_axis(e, np.argsort(-e, axis=-1, kind="stable"), axis=-1)
 
 
 def _peak_norm(s1, s2, a1, a2, xp):

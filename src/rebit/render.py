@@ -10,7 +10,6 @@ import math
 
 from .canonical import decompose_channel
 from .channel import AffineChannel
-from .classify import ImageEllipse
 from .cp import admissible_pentagon
 
 VIEW = 512
@@ -71,7 +70,8 @@ def _legend(lines: list[str]) -> list[str]:
 def disk_figure_svg(channel: AffineChannel) -> str:
     """Bloch disk with axes, boundary markers and the channel's image ellipse."""
     form = decompose_channel(channel)
-    ellipse = ImageEllipse.from_form(channel, form)
+    a1, a2, tilt = abs(form.lam1), abs(form.lam2), form.theta1  # the image ellipse's semi-axes and tilt
+    c1, c2 = channel.w  # and its center
     parts = _header("Bloch disk image")
     parts.append(_line("axis", _px(-1.1, 0.0), _px(1.1, 0.0)))
     parts.append(_line("axis", _px(0.0, -1.1), _px(0.0, 1.1)))
@@ -79,17 +79,15 @@ def disk_figure_svg(channel: AffineChannel) -> str:
     for index, phi in enumerate((0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)):
         mx, my = _px(math.cos(phi), math.sin(phi))
         parts.append(f'  <circle class="marker-{index}" cx="{_fmt(mx)}" cy="{_fmt(my)}" r="6"/>')
-    a1, a2 = ellipse.semi_axes
-    ex, ey = _px(ellipse.center[0], ellipse.center[1])
+    ex, ey = _px(c1, c2)
     if a1 <= DEGENERATE_AXIS and a2 <= DEGENERATE_AXIS:
         parts.append(f'  <circle class="image-fill" cx="{_fmt(ex)}" cy="{_fmt(ey)}" r="3"/>')
     elif a2 <= DEGENERATE_AXIS:
-        dx = a1 * math.cos(ellipse.tilt)
-        dy = a1 * math.sin(ellipse.tilt)
-        c1, c2 = ellipse.center
+        dx = a1 * math.cos(tilt)
+        dy = a1 * math.sin(tilt)
         parts.append(_line("image", _px(c1 - dx, c2 - dy), _px(c1 + dx, c2 + dy)))
     else:
-        tilt_deg = -math.degrees(ellipse.tilt)  # screen y points down
+        tilt_deg = -math.degrees(tilt)  # screen y points down
         parts.append(
             f'  <ellipse class="image" cx="{_fmt(ex)}" cy="{_fmt(ey)}" '
             f'rx="{_fmt(a1 * DISK_R)}" ry="{_fmt(a2 * DISK_R)}" '
@@ -100,7 +98,7 @@ def disk_figure_svg(channel: AffineChannel) -> str:
             [
                 f"lambda = ({form.lam1:.6g}, {form.lam2:.6g})",
                 f"w = ({channel.w[0]:.6g}, {channel.w[1]:.6g})",
-                f"tilt = {ellipse.tilt:.6g}",
+                f"tilt = {tilt:.6g}",
             ]
         )
     )

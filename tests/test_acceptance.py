@@ -10,7 +10,7 @@ import numpy as np
 
 from rebit.bloch import state_polar
 from rebit.canonical import decompose_channel, reconstruction_residual
-from rebit.channel import AffineChannel, rotation_channel
+from rebit.channel import AffineChannel, orthogonal_channel
 from rebit.classify import ellipse_peak_norm, image_ellipse, sample_cp_channels
 from rebit.cli import main
 from rebit.cp import charpoly_coeffs, chi_matrix, chi_rank, q_values, shift_region_contains
@@ -185,14 +185,14 @@ def test_criterion_8_double_angle_and_conjugation():
     worst_angle = 0.0
     for _ in range(100):
         alpha = rng.uniform(0.0, 2 * math.pi)
-        chan = rotation_channel(alpha)
+        chan = orthogonal_channel(rotation_matrix(alpha))
         worst_angle = max(
             worst_angle, float(np.abs(chan.bloch_map - rotation_matrix(2 * alpha)).max())
         )
     worst_conj = 0.0
     for _ in range(1000):
         alpha = rng.uniform(0.0, 2 * math.pi)
-        chan = rotation_channel(alpha)
+        chan = orthogonal_channel(rotation_matrix(alpha))
         rho = state_polar(rng.uniform(0.0, 1.0), rng.uniform(0.0, 2 * math.pi))
         v = np.array([rho[0, 0] - rho[1, 1], rho[0, 1] + rho[1, 0]])
         u = chan.bloch_map @ v

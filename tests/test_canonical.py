@@ -31,7 +31,7 @@ def test_reflection_absorbed_as_negative_scale():
     assert r1.angle == pytest.approx(math.pi / 2)
     assert (lam1, lam2) == (1.0, -1.0)
     assert r2.angle == 0.0
-    rebuilt = r1.matrix @ np.diag([lam1, lam2]) @ r2.matrix
+    rebuilt = rotation_matrix(r1.angle) @ np.diag([lam1, lam2]) @ rotation_matrix(r2.angle)
     assert np.abs(rebuilt - a).max() < 1e-12
 
 
@@ -40,7 +40,7 @@ def test_left_rotation_recovered():
     r1, (lam1, lam2), r2 = canonical_decompose(a)
     assert r1.angle == pytest.approx(math.pi / 4)
     assert (lam1, lam2) == pytest.approx((0.8, 0.2))
-    rebuilt = r1.matrix @ np.diag([lam1, lam2]) @ r2.matrix
+    rebuilt = rotation_matrix(r1.angle) @ np.diag([lam1, lam2]) @ rotation_matrix(r2.angle)
     assert np.abs(rebuilt - a).max() <= 1e-10
 
 

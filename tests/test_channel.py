@@ -12,7 +12,6 @@ from rebit.channel import (
     compose,
     is_unital,
     orthogonal_channel,
-    rotation_channel,
 )
 from rebit.linalg import rotation_matrix
 
@@ -103,7 +102,7 @@ def test_orthogonal_channel_identity():
 
 
 def test_orthogonal_channel_quarter_turn_flips_sigma1():
-    chan = rotation_channel(math.pi / 2)
+    chan = orthogonal_channel(rotation_matrix(math.pi / 2))
     assert np.abs(chan.bloch_map - rotation_matrix(math.pi)).max() < 1e-12
 
 
@@ -111,7 +110,7 @@ def test_orthogonal_channel_double_angle():
     rng = np.random.default_rng(16)
     for _ in range(100):
         alpha = rng.uniform(0.0, 2 * math.pi)
-        chan = rotation_channel(alpha)
+        chan = orthogonal_channel(rotation_matrix(alpha))
         assert np.abs(chan.bloch_map - rotation_matrix(2 * alpha)).max() <= 1e-12
 
 
@@ -208,7 +207,7 @@ def test_as_affine_is_unital_and_matches_conjugation():
 
 
 def test_as_affine_quarter_rotation():
-    affine = as_affine(rotation_channel(math.pi / 4))
+    affine = as_affine(orthogonal_channel(rotation_matrix(math.pi / 4)))
     assert np.abs(affine.a - rotation_matrix(math.pi / 2)).max() < 1e-12
 
 
@@ -220,7 +219,7 @@ def test_is_unital():
 
 def test_channel_json_roundtrip():
     channel = AffineChannel(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0.5, -0.5]))
-    doc = channel.to_json_dict(name="sample")
+    doc = {**channel.to_json_dict(), "name": "sample"}
     back = AffineChannel.from_json_dict(doc)
     assert np.abs(back.a - channel.a).max() == 0.0
     assert np.abs(back.w - channel.w).max() == 0.0

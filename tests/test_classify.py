@@ -78,6 +78,14 @@ def test_classify_general_cases():
     assert isinstance(family, General) and not family.unital
 
 
+def test_classify_makes_one_zero_shift_decision():
+    # A shift of 1e-10 is within CLASS_TOL, so the family match takes the
+    # channel as unital, and General reports the same decision.
+    assert classify(DIAG(1.0, 1.0, 1e-10, 0.0)) == Identity()
+    assert classify(DIAG(0.3, 0.6, 1e-10, 0.0)) == General(rank=3, unital=True)
+    assert classify(DIAG(0.3, 0.6, 2e-9, 0.0)) == General(rank=3, unital=False)
+
+
 def test_classify_refuses_non_cp():
     with pytest.raises(NotCompletelyPositiveError):
         classify(DIAG(1.0, -1.0))

@@ -23,6 +23,12 @@ NAMED_CHANNELS = {
     "linear_q04": {"A": [[0.4, 0.0], [0.0, 0.0]], "w": [0.0, 0.0]},
 }
 
+# dressed, shifted channels: the image goldens of NAMED_CHANNELS all have w = 0 and tilt 0
+TILTED_CHANNELS = {
+    "tilted_ellipse": {"A": [[0.5, 0.2], [-0.1, 0.4]], "w": [0.1, -0.2]},
+    "tilted_segment": {"A": [[0.3, 0.15], [0.2, 0.1]], "w": [-0.1, 0.15]},  # rank one
+}
+
 
 def write_channel(tmp_path, doc, name="channel.json"):
     path = tmp_path / name
@@ -84,6 +90,16 @@ def test_image_golden(tmp_path, capsys, name):
     out_path = tmp_path / f"{name}.svg"
     code, _, _ = run_cli(capsys, "image", channel_path, "-o", str(out_path))
     assert code == 0
+    check_golden(f"{name}.image.svg", out_path.read_text())
+
+
+@pytest.mark.parametrize("name, shape", [("tilted_ellipse", "<ellipse"), ("tilted_segment", "<line")])
+def test_tilted_image_golden(tmp_path, capsys, name, shape):
+    channel_path = write_channel(tmp_path, TILTED_CHANNELS[name])
+    out_path = tmp_path / f"{name}.svg"
+    code, _, _ = run_cli(capsys, "image", channel_path, "-o", str(out_path))
+    assert code == 0
+    assert f'{shape} class="image"' in out_path.read_text()
     check_golden(f"{name}.image.svg", out_path.read_text())
 
 

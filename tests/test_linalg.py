@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rebit.cp import CP_TOL, chi_matrix
 import rebit.linalg as linalg
-from rebit.linalg import FLOATS, Rotation2, Sym3, eig_sym3, eig_sym3_batch, rotation_matrix, svd2
+from rebit.linalg import FLOATS, Rotation2, Sym3, eig_sym3, jacobi_batch, rotation_matrix, svd2
 
 
 def svd_parts(a):
@@ -44,13 +44,8 @@ def test_rotation_matrix_of_an_array_is_the_stack_of_rotations():
 def test_rotation2_normalizes_angle():
     assert Rotation2(-math.pi).angle == pytest.approx(math.pi)
     assert Rotation2(5 * math.pi).angle == pytest.approx(math.pi)
-    r = Rotation2(0.3)
-    assert abs(r.matrix[0, 0] * r.matrix[1, 1] - r.matrix[0, 1] * r.matrix[1, 0] - 1.0) < 1e-12
-
-
-def test_rotation2_from_matrix_rejects_reflection():
-    with pytest.raises(ValueError):
-        Rotation2.from_matrix(np.diag([1.0, -1.0]))
+    m = rotation_matrix(Rotation2(0.3).angle)
+    assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) < 1e-12
 
 
 def test_svd2_identity():
@@ -120,8 +115,19 @@ def stacked(matrices):
     return [np.array([getattr(m, f) for m in matrices]) for f in FIELDS]
 
 
+def full(m):
+    """The 3x3 array of a Sym3."""
+    return np.array([[m.d00, m.d01, m.d02], [m.d01, m.d11, m.d12], [m.d02, m.d12, m.d22]])
+
+
+def eig_sym3_batch(*entries):
+    """The rows (..., 3) eig_sym3 gives, from jacobi_batch: sorted descending, ties (signed zeros too) in diagonal order."""
+    e = np.moveaxis(jacobi_batch(*entries), 0, -1)
+    return np.take_along_axis(e, np.argsort(-e, axis=-1, kind="stable"), axis=-1)
+
+
 def batch_matches_scalar(matrices):
-    """eig_sym3_batch (the numpy path) on the stacked matrices equals eig_sym3 (the FLOATS path) on each, bit for bit."""
+    """jacobi_batch (the numpy path), rows sorted, on the stacked matrices equals eig_sym3 (the FLOATS path) on each, bit for bit."""
     batched = eig_sym3_batch(*stacked(matrices))
     scalar = np.array([eig_sym3(m) for m in matrices]).reshape(len(matrices), 3)
     return batched.shape == scalar.shape and np.array_equal(batched.view(np.int64), scalar.view(np.int64))
@@ -177,7 +183,7 @@ def test_eig_sym3_batch_matches_scalar_when_the_sweep_cap_cuts_lanes_off(monkeyp
 
 def at_the_floor(entries, floor):
     """The matrices shifted along the diagonal so that their smallest converged eigenvalue is the floor, to a few ulps."""
-    shift = floor - eig_sym3_batch(*entries)[:, 2]
+    shift = floor - jacobi_batch(*entries).min(axis=0)
     d00, d01, d02, d11, d12, d22 = entries
     return [d00 + shift, d01, d02, d11 + shift, d12, d22 + shift]
 
@@ -222,7 +228,7 @@ def test_jacobi_batch_floor_keeps_every_verdict_when_the_sweep_cap_cuts_lanes_of
         (weyl_tight(rng, 3000), 0.0),
         (at_the_floor(gershgorin_tight(rng, 3000), -CP_TOL), -CP_TOL),
     ]
-    converged = [eig_sym3_batch(*entries)[:, 2] >= floor for entries, floor in cases]
+    converged = [jacobi_batch(*entries).min(axis=0) >= floor for entries, floor in cases]
     uncapped = cap == linalg.JACOBI_MAX_SWEEPS
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
     settled = 0
@@ -310,9 +316,9 @@ def test_eig_sym3_coupled_block():
     # half of [[1,0,1],[0,1,0],[1,0,1]]: 2x2 block gives {1, 0}, middle 1/2
     e = eig_sym3(Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5))
     assert np.abs(np.array(e) - np.array([1.0, 0.5, 0.0])).max() < 1e-14
-    m = Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5)
-    assert abs(sum(e) - m.trace()) < 1e-10
-    assert abs(e[0] * e[1] * e[2] - m.det()) < 1e-10
+    m = full(Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5))
+    assert abs(sum(e) - np.trace(m)) < 1e-10
+    assert abs(e[0] * e[1] * e[2] - np.linalg.det(m)) < 1e-10
 
 
 def test_eig_sym3_random_charpoly():
@@ -320,26 +326,20 @@ def test_eig_sym3_random_charpoly():
     for _ in range(10_000):
         m = rng.uniform(-2.0, 2.0, (3, 3))
         m = (m + m.T) / 2.0
-        sym = Sym3.from_matrix(m)
+        sym = Sym3(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
         eigs = eig_sym3(sym)
         assert eigs[0] >= eigs[1] >= eigs[2]
-        assert abs(sum(eigs) - sym.trace()) <= 1e-10
-        assert abs(eigs[0] * eigs[1] * eigs[2] - sym.det()) <= 1e-10
-        tr = sym.trace()
+        tr, det = np.trace(m), np.linalg.det(m)
+        assert abs(sum(eigs) - tr) <= 1e-10
+        assert abs(eigs[0] * eigs[1] * eigs[2] - det) <= 1e-10
         pair_sum = (
             sym.d00 * sym.d11 - sym.d01 ** 2
             + sym.d00 * sym.d22 - sym.d02 ** 2
             + sym.d11 * sym.d22 - sym.d12 ** 2
         )
-        det = sym.det()
         bound = 1e-8 * (1.0 + np.abs(m).max() ** 3)
         for x in eigs:
             assert abs(-x ** 3 + tr * x ** 2 - pair_sum * x + det) <= bound
-
-
-def test_sym3_from_matrix_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        Sym3.from_matrix(np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_sym3_rejects_nonfinite():

@@ -11,7 +11,7 @@ from rebit.bloch import density_from_bloch
 from rebit.canonical import decompose_channel, factorize, reconstruction_residual
 from rebit.channel import AffineChannel, OrthogonalChannel, orthogonal_channel
 from rebit.cp import CP_TOL, charpoly_coeffs, chi_entries, chi_matrix, closed_form_verdict, pentagon_verdict, q_values
-from rebit.linalg import eig_sym3, eig_sym3_batch, jacobi_batch, rotation_matrix
+from rebit.linalg import eig_sym3, jacobi_batch, rotation_matrix
 from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, roundtrip_sweep, run_verify, unital_grid_sweep
 
 
@@ -112,7 +112,7 @@ def floor_rim_points(rng, n):
     lam1, lam2, w1, w2 = rim_points(rng, n, 0.0)
 
     def below(k):
-        return eig_sym3_batch(*chi_entries(lam1, lam2, k * w1, k * w2))[:, 2] < -CP_TOL
+        return jacobi_batch(*chi_entries(lam1, lam2, k * w1, k * w2)).min(axis=0) < -CP_TOL
 
     lo, hi = np.ones(n), np.full(n, 2.0)
     crossed = below(hi)
@@ -159,14 +159,14 @@ def test_oracle_takes_the_smallest_of_the_sorted_eigenvalues():
     ]
     for lam1, lam2, w1, w2 in sets:
         entries = chi_entries(lam1, lam2, w1, w2)
-        expected = eig_sym3_batch(*entries)[..., 2] >= -CP_TOL
+        expected = jacobi_batch(*entries).min(axis=0) >= -CP_TOL
         assert expected.any() and not expected.all()
         assert np.array_equal(verify._oracle_cp(lam1, lam2, w1, w2), expected)
         for scale in np.logspace(-3.0, 3.0, 7):
             scaled = [scale * x for x in entries]
             floor = -CP_TOL * scale
             settled = jacobi_batch(*scaled, floor=floor).min(axis=0) >= floor
-            assert np.array_equal(settled, eig_sym3_batch(*scaled)[..., 2] >= floor)
+            assert np.array_equal(settled, jacobi_batch(*scaled).min(axis=0) >= floor)
 
 
 def test_random_sweep_runs_fewer_than_one_jacobi_sweep_per_point(monkeypatch):
