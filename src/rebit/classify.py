@@ -157,10 +157,10 @@ def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> flo
 
 
 CHUNK = 1024  # channels drawn from one block and built together: bounds the sampler's memory
-PAIRS_PER_CHANNEL = 6  # block size: a channel takes about 4.6 pairs of draws
+PAIRS_PER_CHANNEL = 5  # block size: a channel takes about 4.6 pairs of draws; a block that runs out ends its chunk
 UNITAL_PAIRS_PER_CHANNEL = 3  # the same for unital channels, which take about 2.6
 HEAD = 1  # shift tries decided after every pentagon pair at first; 61 % of them are admissible
-LOOKAHEAD = 64  # the widest window, reached fourfold from HEAD where the walk needs it; then _sample_shift
+LOOKAHEAD = 64  # the widest window, reached fourfold from HEAD where the walk needs it; then one try at a time
 
 
 def _uniform(low, high, u):
@@ -168,24 +168,37 @@ def _uniform(low, high, u):
     return low + (high - low) * u
 
 
+def _first_shift(lam1: float, lam2: float, doubles) -> tuple | None:
+    """The first admissible shift try made from the pairs of doubles ``doubles``: (index, s1, s2), or None.
+
+    A try maps pair (u1, u2) to ``rng.uniform``'s shift in the box |s_i| <=
+    1 - |lam_i| and is decided by :func:`rebit.cp.decide` on Python floats with
+    tolerance 0; lam1 >= |lam2|.
+    """
+    b1, b2 = max(0.0, 1.0 - abs(lam1)), max(0.0, 1.0 - abs(lam2))
+    for i, (u1, u2) in enumerate(doubles):
+        s1, s2 = _uniform(-b1, b1, u1), _uniform(-b2, b2, u2)
+        if decide(lam1, lam2, s1, s2, FLOATS, 0.0)[0]:
+            return i, s1, s2
+    return None
+
+
 def _sample_shift(rng: np.random.Generator, lam1: float, lam2: float) -> np.ndarray:
     """Rejection-sample a shift whose channel is CP and maps the disk into itself.
 
-    Tries are decided by :func:`rebit.cp.decide` with tolerance 0; lam1 >=
-    |lam2|.  Raises RuntimeError after 100,000 misses: returning a zero shift
+    Tries are those of :func:`_first_shift` on the generator's next pairs of
+    doubles.  Raises RuntimeError after 100,000 misses: returning a zero shift
     instead would pass a unital channel off as a non-unital draw.
     """
     lam1, lam2 = float(lam1), float(lam2)
-    b1, b2 = max(0.0, 1.0 - abs(lam1)), max(0.0, 1.0 - abs(lam2))
-    for _ in range(100_000):
-        s1, s2 = rng.uniform(-b1, b1), rng.uniform(-b2, b2)
-        if decide(lam1, lam2, s1, s2, FLOATS, 0.0)[0]:
-            return np.array([s1, s2])
-    raise RuntimeError(f"no admissible shift found for lam = ({lam1}, {lam2})")
+    found = _first_shift(lam1, lam2, ((rng.random(), rng.random()) for _ in range(100_000)))
+    if found is None:
+        raise RuntimeError(f"no admissible shift found for lam = ({lam1}, {lam2})")
+    return np.array(found[1:])
 
 
 def _shift_from(u: np.ndarray, k, lam1, lam2) -> tuple:
-    """The shift try :func:`_sample_shift` makes from pair ``k`` of ``u``; arrays too."""
+    """The shift try :func:`_first_shift` makes from pair ``k`` of ``u``; arrays too."""
     b1 = np.maximum(0.0, 1.0 - abs(lam1))
     b2 = np.maximum(0.0, 1.0 - abs(lam2))
     return _uniform(-b1, b1, u[k, 0]), _uniform(-b2, b2, u[k, 1])
@@ -217,15 +230,17 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     The block is evaluated with numpy and walked in that order, from each
     channel's first free pair straight to the next pentagon pair.  Shift
     tries are decided by :func:`rebit.cp.decide` on arrays, bit for bit as
-    :func:`_sample_shift` decides them: the HEAD tries after every pentagon
+    :func:`_first_shift` decides them: the HEAD tries after every pentagon
     pair at once; then, when the walk reaches a row with no admissible try
     yet, a window four times as wide for it and every later such row, until
-    the row resolves or its window reaches LOOKAHEAD.  A shift search that
-    finds nothing in the LOOKAHEAD pairs after j, or in the block, or for the
-    block's last channel in the tries decided so far, ends the chunk and is
-    finished by :func:`_sample_shift`.  The generator is rewound and advanced
-    over exactly the doubles the channels used, so it ends where the
-    one-at-a-time sampler leaves it.
+    the row resolves or its window reaches LOOKAHEAD.  A row that no pass
+    widens further, because its window is at LOOKAHEAD or because it is the
+    block's last channel, goes on through the block's own pairs with
+    :func:`_first_shift`, one try at a time.  Only a search that runs past
+    the block's last usable pair ends the chunk; :func:`_sample_shift`
+    finishes it from pair j + 1.  The generator is rewound and advanced over
+    exactly the doubles the channels used, so it ends where the one-at-a-time
+    sampler leaves it.
     """
     count = len(a)
     state = rng.bit_generator.state
@@ -258,17 +273,22 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
             while offset < 0 and depth < LOOKAHEAD and len(rows) < count - 1:
                 # widen the window of this row and of every unresolved row after it
                 # fourfold: from HEAD 1, at most three passes after the first; the
-                # block's last channel goes to the scalar loop, cheaper than a pass
+                # block's last channel goes on one try at a time, cheaper than a pass
                 later = row + np.flatnonzero(offsets[row:] < 0)
                 wider = min(4 * depth, LOOKAHEAD)
                 offsets[later] = _first_admissible(u, starts[later], hi[later], lo[later], depth, wider)
                 depth = wider
                 offset = int(offsets[row])
             if offset < 0:
-                rng.bit_generator.state = state
-                rng.random(2 * (j + 1))
-                tail = (row, _sample_shift(rng, hi[row], lo[row]), rng.uniform(0.0, TAU, 2))
-                break
+                # no pass widens this row's window further: its search goes on
+                # through the block's own pairs, one try at a time
+                found = _first_shift(float(hi[row]), float(lo[row]), map(np.ndarray.tolist, u[j + 1 + depth:-1]))
+                if found is None:
+                    rng.bit_generator.state = state
+                    rng.random(2 * (j + 1))
+                    tail = (row, _sample_shift(rng, hi[row], lo[row]), rng.uniform(0.0, TAU, 2))
+                    break
+                offset = depth + found[0]
             k = j + 1 + offset
         rows.append(row)
         shift_pairs.append(k)

@@ -11,7 +11,7 @@ import numpy as np
 from rebit.bloch import state_polar
 from rebit.canonical import decompose_channel, reconstruction_residual
 from rebit.channel import AffineChannel, orthogonal_channel
-from rebit.classify import ellipse_peak_norm, image_ellipse, sample_cp_channels
+from rebit.classify import image_ellipse, sample_cp_channels
 from rebit.cli import main
 from rebit.cp import charpoly_coeffs, chi_matrix, chi_rank, q_values, shift_region_contains
 from rebit.linalg import eig_sym3, rotation_matrix

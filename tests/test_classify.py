@@ -234,14 +234,14 @@ def test_sampler_stream_matches_single_draws():
 
 
 class _CornerGenerator:
-    """Stands in for a Generator: every draw is the top of its range."""
+    """Stands in for a Generator: every double drawn is 1.0, so every shift try is the box's corner."""
 
     def __init__(self):
         self.draws = 0
 
-    def uniform(self, low, high, size=None):
+    def random(self):
         self.draws += 1
-        return high
+        return 1.0
 
 
 def test_shift_sampler_raises_instead_of_returning_a_zero_shift():
@@ -334,7 +334,7 @@ def test_sampler_stream_does_not_depend_on_the_shift_window(monkeypatch, head, l
 def test_each_block_decides_its_shift_tries_in_at_most_four_passes(monkeypatch):
     # one pass over the first try after every pentagon pair, then windows
     # of 4, 16 and 64 tries where the walk reaches a row that needs them;
-    # a block's last channel goes to the scalar loop instead of another pass
+    # a block's last channel goes on one try at a time instead of another pass
     passes = []
 
     def counted_chunk(rng, a, w, unital):
@@ -388,19 +388,58 @@ def test_sampler_stream_survives_blocks_that_run_out(monkeypatch, seed, unital):
     assert len(blocks) > 2  # 2 without running out: CHUNK, then 40
 
 
-def test_sampler_finishes_long_shift_searches_with_the_scalar_loop(monkeypatch):
-    # with one shift try evaluated per pentagon pair, every channel whose
-    # first try misses goes through _sample_shift
-    tails = []
+def count_shift_searches(monkeypatch) -> tuple[list, list]:
+    """Record the tries decide makes on Python floats and the _sample_shift calls."""
+    float_tries, tails = [], []
 
-    def counted(rng, lam1, lam2):
+    def counted_decide(lam1, lam2, w1, w2, xp, tol):
+        if xp is FLOATS:
+            float_tries.append((lam1, lam2))
+        return decide(lam1, lam2, w1, w2, xp, tol)
+
+    def counted_shift(rng, lam1, lam2):
         tails.append((lam1, lam2))
         return _sample_shift(rng, lam1, lam2)
 
+    monkeypatch.setattr(classify_module, "decide", counted_decide)
+    monkeypatch.setattr(classify_module, "_sample_shift", counted_shift)
+    return float_tries, tails
+
+
+def test_sampler_finishes_long_shift_searches_inside_the_block(monkeypatch):
+    # with one shift try evaluated per pentagon pair, every channel whose
+    # first try misses goes on through its block one try at a time
+    float_tries, tails = count_shift_searches(monkeypatch)
     monkeypatch.setattr(classify_module, "LOOKAHEAD", 1)
-    monkeypatch.setattr(classify_module, "_sample_shift", counted)
     assert_same_stream(11, 120, unital=False)
-    assert len(tails) > 10
+    assert tails == []
+    assert len(float_tries) > 10
+
+
+def test_sampler_finishes_long_shift_searches_with_the_scalar_loop(monkeypatch):
+    # blocks of one pair per channel leave the in-block search too few pairs,
+    # so searches run past the block and _sample_shift finishes them
+    _, tails = count_shift_searches(monkeypatch)
+    monkeypatch.setattr(classify_module, "LOOKAHEAD", 1)
+    monkeypatch.setattr(classify_module, "PAIRS_PER_CHANNEL", 1)
+    monkeypatch.setattr(classify_module, "UNITAL_PAIRS_PER_CHANNEL", 1)
+    assert_same_stream(11, 120, unital=False)
+    assert len(tails) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 6])
+def test_sampler_fills_each_block_of_non_unital_channels(monkeypatch, seed):
+    # no shift search ends a chunk early: 4 x CHUNK channels take 4 blocks
+    chunks = []
+
+    def counted(rng, a, w, unital):
+        chunks.append(len(a))
+        return sample_chunk(rng, a, w, unital)
+
+    sample_chunk = classify_module._sample_chunk
+    monkeypatch.setattr(classify_module, "_sample_chunk", counted)
+    sample_cp_channels(np.random.default_rng(seed), 4 * CHUNK)
+    assert chunks == [CHUNK] * 4
 
 
 def test_sampler_sends_few_shift_tries_to_newton(monkeypatch):
@@ -418,7 +457,7 @@ def test_sampler_sends_few_shift_tries_to_newton(monkeypatch):
     monkeypatch.setattr(classify_module, "decide", counted_decide)
     monkeypatch.setattr(cp_module, "_peak_norm", counted_peak_norm)
     sample_cp_channels(np.random.default_rng(9), 10**4)
-    assert sum(decided) > 10**5
+    assert 5 * 10**4 < sum(decided) < 1.2 * 10**5  # the walk stays in its blocks: about 99k tries
     assert 0 < sum(newton) < 0.15 * sum(decided)
 
 

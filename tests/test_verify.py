@@ -1,5 +1,6 @@
 """The batched sweeps against one-point-at-a-time reference loops."""
 
+import functools
 import math
 
 import numpy as np
@@ -31,11 +32,13 @@ def grid_reference(step, oracle=oracle):
     return n * n, mismatches
 
 
-def random_reference(samples, seed, oracle=oracle, band=BOUNDARY_BAND, b_tol=CP_TOL):
+def random_reference_prefixes(samples, seed, oracle=oracle, band=BOUNDARY_BAND, b_tol=CP_TOL):
+    """random_reference(n, seed) for n = 0 .. samples, in order."""
     rng = np.random.default_rng(seed)
     params = rng.uniform(-1.0, 1.0, (samples, 4))
     mismatches = excluded = b_violations = 0
-    for lam1, lam2, w1, w2 in params:
+    yield 0, 0, 0, 0
+    for n, (lam1, lam2, w1, w2) in enumerate(params, 1):
         closed, q, margin = closed_form_verdict(lam1, lam2, w1, w2)
         if closed:
             _, b, _ = charpoly_coeffs(lam1, lam2, w1, w2)
@@ -46,14 +49,29 @@ def random_reference(samples, seed, oracle=oracle, band=BOUNDARY_BAND, b_tol=CP_
                 excluded += 1
             else:
                 mismatches += 1
-    return samples, mismatches, excluded, b_violations
+        yield n, mismatches, excluded, b_violations
+
+
+def random_reference(samples, seed, **kwargs):
+    *_, last = random_reference_prefixes(samples, seed, **kwargs)
+    return last
+
+
+@functools.cache
+def chunk_boundary_references(prefixes, seed):
+    """The reference for every count up to CHUNK + 1, from one pass over CHUNK + 1 points.
+
+    The first n points drawn for a count above n are those drawn for n, so one
+    scalar pass per seed serves every boundary case of that seed.
+    """
+    return list(prefixes(CHUNK + 1, seed))
 
 
 @pytest.mark.parametrize("samples", [0, 1, CHUNK // 2, CHUNK // 2 + 1, CHUNK, CHUNK + 1])  # within, on and across a chunk
 @pytest.mark.parametrize("seed", [0, 5, 17])
 def test_random_sweep_matches_scalar_reference(samples, seed):
     result = random_sweep(samples, seed)
-    assert result == random_reference(samples, seed)
+    assert result == chunk_boundary_references(random_reference_prefixes, seed)[samples]
     assert all(type(x) is int for x in result)
 
 
@@ -216,10 +234,12 @@ def test_random_sweep_counts_disagreements_as_the_reference_does(monkeypatch):
     assert min(result) > 0
 
 
-def roundtrip_reference(samples, seed, span=2.0):
+def roundtrip_reference_prefixes(samples, seed, span=2.0):
+    """The round trip's (count, largest residual, largest det error) for n = 0 .. samples points, in order."""
     rng = np.random.default_rng(seed)
     max_residual = max_det_err = 0.0
-    for _ in range(samples):
+    yield 0, max_residual, max_det_err
+    for n in range(1, samples + 1):
         a = rng.uniform(-span, span, (2, 2))
         w = rng.uniform(-span, span, 2)
         channel = AffineChannel(a, w)
@@ -227,7 +247,7 @@ def roundtrip_reference(samples, seed, span=2.0):
         max_residual = max(max_residual, reconstruction_residual(channel, form))
         det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         max_det_err = max(max_det_err, float(abs(det_a - form.lam1 * form.lam2)))
-    return samples, max_residual, max_det_err
+        yield n, max_residual, max_det_err
 
 
 @pytest.mark.parametrize("samples", [0, 1, CHUNK // 2, CHUNK // 2 + 1, CHUNK, CHUNK + 1])
@@ -236,7 +256,7 @@ def test_roundtrip_sweep_matches_scalar_reference(samples, seed):
     # The sweep rebuilds with written-out products, the reference with
     # numpy's 2x2 matrix products, so the two round differently.
     result = roundtrip_sweep(samples, seed)
-    reference = roundtrip_reference(samples, seed)
+    reference = chunk_boundary_references(roundtrip_reference_prefixes, seed)[samples]
     assert result[0] == reference[0] == samples
     assert result[1] == pytest.approx(reference[1], abs=1e-14)
     assert result[2] == pytest.approx(reference[2], abs=1e-14)
