@@ -54,7 +54,7 @@ from .cp import (
     q_values,
     shift_region_contains,
 )
-from .linalg import Rotation2, Sym3, eig_sym3, rotation_matrix, svd2
+from .linalg import eig_sym3, rotation_matrix, svd2
 from .verify import VerifyReport, run_verify
 
 __version__ = "0.1.0"
@@ -75,11 +75,9 @@ __all__ = [
     "NotPositiveError",
     "OrthogonalChannel",
     "PhaseFlip",
-    "Rotation2",
     "SIGMA_0",
     "SIGMA_1",
     "SIGMA_2",
-    "Sym3",
     "VerifyReport",
     "admissible_pentagon",
     "apply",

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AffineChannel
-from .linalg import FLOATS, TAU, Rotation2, _check_finite_2x2
+from .linalg import FLOATS, TAU
 
 SECTOR_TOL = 1e-12  # slack of lam1 >= |lam2| in a canonical form
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Factorization data (theta1, theta2, lam1, lam2, shift-in-diagonal-frame)."""
+    """Factorization data (theta1, theta2, lam1, lam2, shift-in-diagonal-frame); finite angles, kept in [0, 2*pi)."""
 
     theta1: float
     theta2: float
@@ -30,8 +30,12 @@ class CanonicalForm:
     shift: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta1", Rotation2(self.theta1).angle)
-        object.__setattr__(self, "theta2", Rotation2(self.theta2).angle)
+        for name in ("theta1", "theta2"):
+            angle = getattr(self, name)
+            if not math.isfinite(angle):
+                raise ValueError(f"rotation angle must be finite, got {angle!r}")
+            angle = float(angle) % TAU  # TAU where % rounds a tiny negative angle up
+            object.__setattr__(self, name, 0.0 if angle == TAU else angle)
         shift = np.array(self.shift, dtype=float)
         if shift.shape != (2,) or not np.isfinite(shift).all():
             raise ValueError("shift must be a finite 2-vector")
@@ -87,16 +91,15 @@ def factorize(a00, a01, a10, a11, w0, w1, xp=FLOATS):
     return theta1, theta2, lam1, lam2, 0.0 + c1 * w0 + s1 * w1, 0.0 + c1 * w1 - s1 * w0
 
 
-def canonical_decompose(a: np.ndarray) -> tuple[Rotation2, tuple[float, float], Rotation2]:
-    """Factor a 2x2 matrix as rot(theta1) @ diag(lam1, lam2) @ rot(theta2).
+def canonical_decompose(a: np.ndarray) -> tuple[float, tuple[float, float], float]:
+    """Factor a 2x2 matrix as rot(theta1) @ diag(lam1, lam2) @ rot(theta2): (theta1, (lam1, lam2), theta2).
 
-    :func:`factorize` on the entries; both returned factors are proper
-    rotations and any reflection sits in the sign of lam2.  The zero matrix
-    gives identity rotations and lam = (0, 0).
+    :func:`decompose_channel` of the channel (a, 0), which checks the entries;
+    both factors are proper rotations, any reflection sits in the sign of
+    lam2, and the zero matrix gives theta1 = theta2 = 0 and lam = (0, 0).
     """
-    a00, a01, a10, a11 = _check_finite_2x2(a).ravel().tolist()
-    theta1, theta2, lam1, lam2, _, _ = factorize(a00, a01, a10, a11, 0.0, 0.0)
-    return Rotation2(theta1), (lam1, lam2), Rotation2(theta2)
+    form = decompose_channel(AffineChannel(a, np.zeros(2)))
+    return form.theta1, (form.lam1, form.lam2), form.theta2
 
 
 def decompose_channel(channel: AffineChannel) -> CanonicalForm:

@@ -17,7 +17,8 @@ form
 
 which stays meaningful when any factor vanishes, unlike the divided ellipse
 form.  It is written only here; :mod:`rebit.verify` checks it against the
-Jacobi eigenvalues of chi.  A channel is completely positive when the closed
+Jacobi eigenvalues of chi, given by the six upper-triangle entries that
+:func:`chi_matrix` returns.  A channel is completely positive when the closed
 form holds in its canonical frame (lam1 >= |lam2|) and the image of the disk
 stays in the disk there: :func:`decide` after :func:`canonical_frame`, which
 :func:`is_cp` calls, and after its scale part :func:`canonical_scales`, which
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from .canonical import decompose_channel
 from .channel import AffineChannel
-from .linalg import FLOATS, Sym3, _peak_norm, eig_sym3
+from .linalg import FLOATS, _peak_norm, eig_sym3
 
 CP_TOL = 1e-9  # one-sided boundary slack: the admissible region is closed
 PEAK_BAND = 1e-9  # band around (1 + tol)^2 in which decide's bounds on the squared peak norm defer to Newton
@@ -38,12 +39,12 @@ DIAGONAL_TOL = 1e-12
 TIE_TOL = 1e-12  # lam1 + lam2 at or below which a reflection's two scales tie
 
 
-def chi_entries(lam1, lam2, w1=0.0, w2=0.0) -> tuple:
+def chi_matrix(lam1, lam2, w1=0.0, w2=0.0) -> tuple:
     """Upper triangle (d00, d01, d02, d11, d12, d22) of the chi matrix; accepts arrays.
 
-    Written out from the definition rather than through :func:`q_values`, so the
-    eigenvalue oracle that :mod:`rebit.verify` runs on it shares no code with
-    the closed form it checks.
+    The entries :func:`rebit.linalg.eig_sym3` and ``jacobi_batch`` take, written
+    out from the definition rather than through :func:`q_values`, so the
+    eigenvalue oracle run on them shares no code with the closed form it checks.
     """
     return (
         0.5 * (1.0 + lam1 + lam2),
@@ -53,11 +54,6 @@ def chi_entries(lam1, lam2, w1=0.0, w2=0.0) -> tuple:
         0.0,
         0.5 * (1.0 - lam1 + lam2),
     )
-
-
-def chi_matrix(lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) -> Sym3:
-    """Chi matrix of the diagonal map, assembled entrywise."""
-    return Sym3(*chi_entries(lam1, lam2, w1, w2))
 
 
 def q_values(lam1: float, lam2: float) -> tuple[float, float, float]:
@@ -174,9 +170,9 @@ def decide(lam1, lam2, w1, w2, xp, tol=CP_TOL) -> tuple:
     return inside, q, margin
 
 
-def chi_rank(chi: Sym3) -> int:
-    """Number of chi eigenvalues above ``CP_TOL``: the Kraus rank of a CP map."""
-    return sum(1 for e in eig_sym3(chi) if e > CP_TOL)
+def chi_rank(chi: tuple) -> int:
+    """Number of eigenvalues above ``CP_TOL`` of the :func:`chi_matrix` entries: the Kraus rank of a CP map."""
+    return sum(1 for e in eig_sym3(*chi) if e > CP_TOL)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ arrays, elementwise.
 """
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,35 +57,6 @@ def rotation_matrix(theta) -> np.ndarray:
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-@dataclass(frozen=True)
-class Rotation2:
-    """A plane rotation stored as its angle, normalized to [0, 2*pi)."""
-
-    angle: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "angle", float(self.angle) % TAU)
-
-
-@dataclass(frozen=True)
-class Sym3:
-    """A real symmetric 3x3 matrix stored as its upper triangle."""
-
-    d00: float
-    d01: float
-    d02: float
-    d11: float
-    d12: float
-    d22: float
-
-    def __post_init__(self):
-        for name in ("d00", "d01", "d02", "d11", "d12", "d22"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Sym3 entry {name} must be finite")
 
 
 def _check_finite_2x2(a: np.ndarray) -> np.ndarray:
@@ -171,16 +141,16 @@ def _live(a01, a02, a12, xp):
     return xp.maximum(xp.maximum(abs(a01), abs(a02)), abs(a12)) >= JACOBI_TOL
 
 
-def eig_sym3(m: Sym3) -> tuple[float, float, float]:
-    """Eigenvalues of a symmetric 3x3 matrix, sorted descending.
+def eig_sym3(d00, d01, d02, d11, d12, d22) -> tuple[float, float, float]:
+    """Eigenvalues of a symmetric 3x3 matrix given by its upper triangle, sorted descending.
 
-    Cyclic Jacobi rotations, each annihilating one off-diagonal entry
-    exactly, so the iteration is unconditionally stable.  A rotation is
-    skipped where its entry is exactly 0, and the sweeps stop once the
-    largest off-diagonal entry is below ``JACOBI_TOL`` or
-    ``JACOBI_MAX_SWEEPS`` sweeps have run.
+    Cyclic Jacobi rotations, each annihilating one off-diagonal entry exactly,
+    so the iteration is unconditionally stable.  A rotation is skipped where
+    its entry is exactly 0, and the sweeps stop once the largest off-diagonal
+    entry is below ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps have run.
+    Unchecked: an infinite entry gives infinite or NaN eigenvalues, no error.
     """
-    a = (m.d00, m.d01, m.d02, m.d11, m.d12, m.d22)
+    a = (d00, d01, d02, d11, d12, d22)
     for _ in range(JACOBI_MAX_SWEEPS):
         if not _live(a[1], a[2], a[4], FLOATS):
             break
@@ -191,12 +161,12 @@ def eig_sym3(m: Sym3) -> tuple[float, float, float]:
 def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     """Unsorted eigenvalues of a stack of symmetric 3x3 matrices given entrywise.
 
-    Returns the final diagonals (a00, a11, a22) as one array of shape
-    (3, ...); the entries broadcast against each other.  Every lane runs
-    :func:`eig_sym3`'s sweeps with the same bits, but only the live lanes
-    stay in the arrays: a lane that freezes writes its diagonal to the result
-    and leaves, so the later sweeps, which few lanes need, run on those
-    lanes alone.
+    Takes :func:`eig_sym3`'s six upper-triangle entries, floats or arrays that
+    broadcast against each other, and returns the final diagonals (a00, a11,
+    a22) as one array of shape (3, ...).  Every lane runs :func:`eig_sym3`'s
+    sweeps with the same bits, but only the live lanes stay in the arrays: a
+    lane that freezes writes its diagonal to the result and leaves, so the
+    later sweeps, which few lanes need, run on those lanes alone.
 
     With a ``floor``, for callers that read only whether the smallest
     eigenvalue reaches it, a lane also leaves with its current diagonal once

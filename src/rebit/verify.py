@@ -17,7 +17,7 @@ import numpy as np
 from .bloch import density_from_bloch
 from .canonical import factorize
 from .channel import orthogonal_channel
-from .cp import CP_TOL, _charpoly_from_margin, chi_entries, closed_form_verdict
+from .cp import CP_TOL, _charpoly_from_margin, chi_matrix, closed_form_verdict
 from .linalg import jacobi_batch, rotation_matrix
 
 BOUNDARY_BAND = 1e-7
@@ -45,7 +45,7 @@ def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
     eigenvalue bounds settle the sign; the smallest diagonal entry it returns
     then lies on the same side of -CP_TOL as the converged sweeps' would.
     """
-    return jacobi_batch(*chi_entries(lam1, lam2, w1, w2), floor=-CP_TOL).min(axis=0) >= -CP_TOL
+    return jacobi_batch(*chi_matrix(lam1, lam2, w1, w2), floor=-CP_TOL).min(axis=0) >= -CP_TOL
 
 
 def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:

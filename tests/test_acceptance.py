@@ -34,7 +34,7 @@ def closed_form(lam1, lam2, w1, w2):
 
 
 def oracle(lam1, lam2, w1, w2):
-    return eig_sym3(chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_EPS
+    return eig_sym3(*chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_EPS
 
 
 def test_criterion_1_unital_grid_equivalence():
@@ -138,7 +138,7 @@ def test_criterion_6_single_shift_eigenvalues():
             [0.5 * (1 + lam1 - lam2), 0.5 * (1 + lam2 + root), 0.5 * (1 + lam2 - root)],
             reverse=True,
         )
-        eigs = eig_sym3(chi_matrix(lam1, lam2, 0.0, w2))
+        eigs = eig_sym3(*chi_matrix(lam1, lam2, 0.0, w2))
         worst = max(worst, np.abs(np.array(eigs) - np.array(expected)).max())
         lam1, lam2, w1 = rng.uniform(-1.0, 1.0, 3)
         root = math.sqrt(lam2 * lam2 + w1 * w1)
@@ -146,7 +146,7 @@ def test_criterion_6_single_shift_eigenvalues():
             [0.5 * (1 - lam1 + lam2), 0.5 * (1 + lam1 + root), 0.5 * (1 + lam1 - root)],
             reverse=True,
         )
-        eigs = eig_sym3(chi_matrix(lam1, lam2, w1, 0.0))
+        eigs = eig_sym3(*chi_matrix(lam1, lam2, w1, 0.0))
         worst = max(worst, np.abs(np.array(eigs) - np.array(expected)).max())
     ok = worst <= 1e-9
     assert report(6, ok, f"single-shift eigenvalue formulas: worst deviation {worst:.2e} (<=1e-9)")

@@ -20,34 +20,40 @@ from rebit.linalg import TAU, rotation_matrix, svd2
 
 
 def test_already_diagonal_is_fixed_point():
-    r1, (lam1, lam2), r2 = canonical_decompose(np.diag([0.5, 0.3]))
-    assert r1.angle == 0.0 and r2.angle == 0.0
+    theta1, (lam1, lam2), theta2 = canonical_decompose(np.diag([0.5, 0.3]))
+    assert theta1 == 0.0 and theta2 == 0.0 and type(theta1) is type(theta2) is float
     assert (lam1, lam2) == (0.5, 0.3)
 
 
 def test_reflection_absorbed_as_negative_scale():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    r1, (lam1, lam2), r2 = canonical_decompose(a)
-    assert r1.angle == pytest.approx(math.pi / 2)
+    theta1, (lam1, lam2), theta2 = canonical_decompose(a)
+    assert theta1 == pytest.approx(math.pi / 2)
     assert (lam1, lam2) == (1.0, -1.0)
-    assert r2.angle == 0.0
-    rebuilt = rotation_matrix(r1.angle) @ np.diag([lam1, lam2]) @ rotation_matrix(r2.angle)
+    assert theta2 == 0.0
+    rebuilt = rotation_matrix(theta1) @ np.diag([lam1, lam2]) @ rotation_matrix(theta2)
     assert np.abs(rebuilt - a).max() < 1e-12
 
 
 def test_left_rotation_recovered():
     a = rotation_matrix(math.pi / 4) @ np.diag([0.8, 0.2])
-    r1, (lam1, lam2), r2 = canonical_decompose(a)
-    assert r1.angle == pytest.approx(math.pi / 4)
+    theta1, (lam1, lam2), theta2 = canonical_decompose(a)
+    assert theta1 == pytest.approx(math.pi / 4)
     assert (lam1, lam2) == pytest.approx((0.8, 0.2))
-    rebuilt = rotation_matrix(r1.angle) @ np.diag([lam1, lam2]) @ rotation_matrix(r2.angle)
+    rebuilt = rotation_matrix(theta1) @ np.diag([lam1, lam2]) @ rotation_matrix(theta2)
     assert np.abs(rebuilt - a).max() <= 1e-10
 
 
 def test_zero_matrix_canonical():
-    r1, (lam1, lam2), r2 = canonical_decompose(np.zeros((2, 2)))
+    theta1, (lam1, lam2), theta2 = canonical_decompose(np.zeros((2, 2)))
     assert (lam1, lam2) == (0.0, 0.0)
-    assert r1.angle == 0.0 and r2.angle == 0.0
+    assert theta1 == 0.0 and theta2 == 0.0
+
+
+def test_canonical_decompose_checks_its_matrix():
+    for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, np.inf]]), np.eye(3)):
+        with pytest.raises(ValueError):
+            canonical_decompose(bad)
 
 
 def test_decompose_identity_channel():
@@ -91,6 +97,27 @@ def test_canonical_form_validates_convention():
         CanonicalForm(theta1=0.0, theta2=0.0, lam1=-0.5, lam2=0.0, shift=np.zeros(2))
     with pytest.raises(ValueError):
         CanonicalForm(theta1=0.0, theta2=0.0, lam1=0.3, lam2=0.8, shift=np.zeros(2))
+
+
+def test_canonical_form_reduces_angles_to_one_turn():
+    def angles(theta1, theta2):
+        form = CanonicalForm(theta1=theta1, theta2=theta2, lam1=1.0, lam2=0.5, shift=(0.0, 0.0))
+        return form.theta1, form.theta2
+
+    assert angles(-math.pi, 5 * math.pi) == pytest.approx((math.pi, math.pi))
+    m = rotation_matrix(angles(0.3, 0.0)[0])
+    assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) < 1e-12
+    theta1, theta2 = angles(np.float64(7.0), TAU)
+    assert (theta1, theta2) == (7.0 % TAU, 0.0) and type(theta1) is float
+    # % rounds a tiny negative angle up to a full turn, which is stored as 0
+    assert -1e-20 % TAU == TAU
+    assert angles(-1e-20, -1e-300) == (0.0, 0.0)
+    assert 0.0 < angles(-1e-15, 0.0)[0] < TAU
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            angles(bad, 0.0)
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            angles(0.0, bad)
 
 
 def test_roundtrip_random_channels():

@@ -136,7 +136,13 @@ def test_classify_refuses_non_cp_with_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["check", "classify"])
 @pytest.mark.parametrize(
-    "doc", [{"A": [[0.5, 0], [0, 0.5]], "w": [0, 1e30]}, {"A": [[1e30, 0], [0, 1e30]], "w": [-1e30, 1e154]}]
+    "doc",
+    [
+        {"A": [[0.5, 0], [0, 0.5]], "w": [0, 1e30]},
+        {"A": [[1e30, 0], [0, 1e30]], "w": [-1e30, 1e154]},
+        {"A": [[1e308, 0], [0, 1e308]], "w": [0, 0]},  # diagonal: chi's entries overflow to inf
+        {"A": [[-1.7e308, 0], [0, 1e308]], "w": [1e308, -1.7e308]},
+    ],
 )
 def test_far_finite_channels_exit_two_with_a_report(tmp_path, capsys, command, doc):
     code, out, _ = run_cli(capsys, command, write_channel(tmp_path, doc))

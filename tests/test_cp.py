@@ -108,7 +108,7 @@ def test_charpoly_origin_and_singular_points():
     assert (a, b, det_chi) == (3.0, 3.0, 0.125)
     _, _, det_chi = charpoly_coeffs(0.0, 0.0, 0.0, 1.0)
     assert det_chi == 0.0
-    eigs = eig_sym3(chi_matrix(0.0, 0.0, 0.0, 1.0))
+    eigs = eig_sym3(*chi_matrix(0.0, 0.0, 0.0, 1.0))
     assert abs(eigs[2]) < 1e-14
 
 
@@ -236,7 +236,7 @@ def test_unital_grid_agreement_coarse():
     for lam1 in np.linspace(-1.0, 1.0, 41):
         for lam2 in np.linspace(-1.0, 1.0, 41):
             closed = min(q_values(lam1, lam2)) >= -1e-9
-            oracle = eig_sym3(chi_matrix(lam1, lam2))[2] >= -1e-9
+            oracle = eig_sym3(*chi_matrix(lam1, lam2))[2] >= -1e-9
             assert closed == oracle
 
 
@@ -248,7 +248,7 @@ def test_random_sweep_agreement_small():
         q = q_values(lam1, lam2)
         _, margin = shift_region_contains(lam1, lam2, w1, w2)
         closed = min(q) >= -1e-9 and margin >= -1e-9
-        oracle = eig_sym3(chi_matrix(lam1, lam2, w1, w2))[2] >= -1e-9
+        oracle = eig_sym3(*chi_matrix(lam1, lam2, w1, w2))[2] >= -1e-9
         if closed != oracle and abs(margin) >= 1e-7 and min(map(abs, q)) >= 1e-7:
             mismatches += 1
     assert mismatches == 0
@@ -280,7 +280,7 @@ def test_single_shift_eigenvalue_formulas():
             [0.5 * (1 + lam1 - lam2), 0.5 * (1 + lam2 + root), 0.5 * (1 + lam2 - root)],
             reverse=True,
         )
-        eigs = eig_sym3(chi_matrix(lam1, lam2, 0.0, w2))
+        eigs = eig_sym3(*chi_matrix(lam1, lam2, 0.0, w2))
         assert np.abs(np.array(eigs) - np.array(expected)).max() <= 1e-9
         # mirrored shift: the roles of the scale coefficients swap
         lam1, lam2, w1 = rng.uniform(-1.0, 1.0, 3)
@@ -289,7 +289,7 @@ def test_single_shift_eigenvalue_formulas():
             [0.5 * (1 - lam1 + lam2), 0.5 * (1 + lam1 + root), 0.5 * (1 + lam1 - root)],
             reverse=True,
         )
-        eigs = eig_sym3(chi_matrix(lam1, lam2, w1, 0.0))
+        eigs = eig_sym3(*chi_matrix(lam1, lam2, w1, 0.0))
         assert np.abs(np.array(eigs) - np.array(expected)).max() <= 1e-9
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rebit.cp import CP_TOL, chi_matrix
 import rebit.linalg as linalg
-from rebit.linalg import FLOATS, Rotation2, Sym3, eig_sym3, jacobi_batch, rotation_matrix, svd2
+from rebit.linalg import FLOATS, eig_sym3, jacobi_batch, rotation_matrix, svd2
 
 
 def svd_parts(a):
@@ -39,13 +39,6 @@ def test_rotation_matrix_of_an_array_is_the_stack_of_rotations():
             assert np.abs(stack[i, j] - rotation_matrix(float(angles[i, j]))).max() <= 1e-15
     with pytest.raises(ValueError):
         rotation_matrix(np.array([0.0, math.nan]))
-
-
-def test_rotation2_normalizes_angle():
-    assert Rotation2(-math.pi).angle == pytest.approx(math.pi)
-    assert Rotation2(5 * math.pi).angle == pytest.approx(math.pi)
-    m = rotation_matrix(Rotation2(0.3).angle)
-    assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) < 1e-12
 
 
 def test_svd2_identity():
@@ -104,20 +97,19 @@ def test_svd2_roundtrip_hypothesis(entries):
 
 
 def test_eig_sym3_diagonal():
-    assert eig_sym3(Sym3(1.5, 0.0, 0.0, 0.5, 0.0, 0.5)) == (1.5, 0.5, 0.5)
-    assert eig_sym3(Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
-
-
-FIELDS = ("d00", "d01", "d02", "d11", "d12", "d22")
+    assert eig_sym3(1.5, 0.0, 0.0, 0.5, 0.0, 0.5) == (1.5, 0.5, 0.5)
+    assert eig_sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def stacked(matrices):
-    return [np.array([getattr(m, f) for m in matrices]) for f in FIELDS]
+    """The six entry arrays (d00, d01, d02, d11, d12, d22) of a list of upper triangles."""
+    return [np.array(column) for column in zip(*matrices)]
 
 
 def full(m):
-    """The 3x3 array of a Sym3."""
-    return np.array([[m.d00, m.d01, m.d02], [m.d01, m.d11, m.d12], [m.d02, m.d12, m.d22]])
+    """The 3x3 array of an upper triangle (d00, d01, d02, d11, d12, d22)."""
+    d00, d01, d02, d11, d12, d22 = m
+    return np.array([[d00, d01, d02], [d01, d11, d12], [d02, d12, d22]])
 
 
 def eig_sym3_batch(*entries):
@@ -129,26 +121,26 @@ def eig_sym3_batch(*entries):
 def batch_matches_scalar(matrices):
     """jacobi_batch (the numpy path), rows sorted, on the stacked matrices equals eig_sym3 (the FLOATS path) on each, bit for bit."""
     batched = eig_sym3_batch(*stacked(matrices))
-    scalar = np.array([eig_sym3(m) for m in matrices]).reshape(len(matrices), 3)
+    scalar = np.array([eig_sym3(*m) for m in matrices]).reshape(len(matrices), 3)
     return batched.shape == scalar.shape and np.array_equal(batched.view(np.int64), scalar.view(np.int64))
 
 
 def random_matrices():
     rng = np.random.default_rng(98)
-    full = [Sym3(*rng.uniform(-2.0, 2.0, 6)) for _ in range(3000)]
+    full = [tuple(rng.uniform(-2.0, 2.0, 6)) for _ in range(3000)]
     chi = [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(3000)]
     return full, chi
 
 
 CORNERS = [
-    Sym3(1.5, 0.0, 0.0, 0.5, 0.0, 0.5),  # diagonal with a tie
-    Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),  # zero
-    Sym3(0.0, 0.0, 0.0, -0.0, 0.0, -0.0),  # signed zeros keep their diagonal order
-    Sym3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0),  # triple tie
-    Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5),  # exact tie inside the rotated block
-    Sym3(1.0, 1.0, 1.0, 1.0, 1.0, 1.0),  # rank one, equal diagonal (tau = 0)
-    Sym3(1e-14, 7e-15, 0.0, 2e-14, 0.0, 0.0),  # off-diagonal just below JACOBI_TOL: frozen
-    Sym3(1.0, 1e-170, 0.5, 0.0, 0.3, 2.0),  # tau * tau overflows to inf
+    (1.5, 0.0, 0.0, 0.5, 0.0, 0.5),  # diagonal with a tie
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),  # zero
+    (0.0, 0.0, 0.0, -0.0, 0.0, -0.0),  # signed zeros keep their diagonal order
+    (1.0, 0.0, 0.0, 1.0, 0.0, 1.0),  # triple tie
+    (0.5, 0.0, 0.5, 0.5, 0.0, 0.5),  # exact tie inside the rotated block
+    (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),  # rank one, equal diagonal (tau = 0)
+    (1e-14, 7e-15, 0.0, 2e-14, 0.0, 0.0),  # off-diagonal just below JACOBI_TOL: frozen
+    (1.0, 1e-170, 0.5, 0.0, 0.3, 2.0),  # tau * tau overflows to inf
     chi_matrix(0.5, -0.5, 0.0, 0.0),  # q2 = 0
     chi_matrix(-0.5, 0.5, 0.0, 0.0),  # q1 = 0
     chi_matrix(-0.5, -0.5, 0.0, 0.0),  # q0 = 0
@@ -279,9 +271,8 @@ def test_jacobi_batch_floor_settles_only_the_lanes_beyond_the_band():
     assert not np.array_equal(linalg.jacobi_batch(*chi, floor=0.15), [0.5, 1.0, 1.0])
 
 
-def sweeps_to_freeze(m):
-    """Number of Jacobi sweeps after which the scalar iteration stops on m."""
-    a = (m.d00, m.d01, m.d02, m.d11, m.d12, m.d22)
+def sweeps_to_freeze(a):
+    """Number of Jacobi sweeps after which the scalar iteration stops on the upper triangle a."""
     sweeps = 0
     while linalg._live(a[1], a[2], a[4], FLOATS):
         a = linalg._sweep(*a, FLOATS)
@@ -291,9 +282,9 @@ def sweeps_to_freeze(m):
 
 def test_eig_sym3_batch_retires_lanes_that_freeze_at_different_sweeps():
     rng = np.random.default_rng(7)
-    pool = [Sym3(1.0, 0.0, 0.0, 0.5, 0.0, -0.5), Sym3(1.0, 0.5, 0.0, 0.5, 0.0, -0.5)]  # 0 and 1 sweeps
+    pool = [(1.0, 0.0, 0.0, 0.5, 0.0, -0.5), (1.0, 0.5, 0.0, 0.5, 0.0, -0.5)]  # 0 and 1 sweeps
     pool += [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(400)]
-    pool += [Sym3(*rng.uniform(-2.0, 2.0, 6)) for _ in range(400)]
+    pool += [tuple(rng.uniform(-2.0, 2.0, 6)) for _ in range(400)]
     first = {}
     for m in pool:
         first.setdefault(sweeps_to_freeze(m), m)
@@ -308,15 +299,15 @@ def test_eig_sym3_batch_broadcasts_scalar_entries():
     lam = np.linspace(-1.0, 1.0, 7)
     batched = eig_sym3_batch(lam, 0.25, 0.0, 0.5, 0.0, -lam)
     assert batched.shape == (7, 3)
-    assert batch_matches_scalar([Sym3(x, 0.25, 0.0, 0.5, 0.0, -x) for x in lam])
+    assert batch_matches_scalar([(x, 0.25, 0.0, 0.5, 0.0, -x) for x in lam])
     assert eig_sym3_batch(np.empty(0), 0.0, 0.0, 0.0, 0.0, 0.0).shape == (0, 3)
 
 
 def test_eig_sym3_coupled_block():
     # half of [[1,0,1],[0,1,0],[1,0,1]]: 2x2 block gives {1, 0}, middle 1/2
-    e = eig_sym3(Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5))
+    e = eig_sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5)
     assert np.abs(np.array(e) - np.array([1.0, 0.5, 0.0])).max() < 1e-14
-    m = full(Sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5))
+    m = full((0.5, 0.0, 0.5, 0.5, 0.0, 0.5))
     assert abs(sum(e) - np.trace(m)) < 1e-10
     assert abs(e[0] * e[1] * e[2] - np.linalg.det(m)) < 1e-10
 
@@ -326,22 +317,14 @@ def test_eig_sym3_random_charpoly():
     for _ in range(10_000):
         m = rng.uniform(-2.0, 2.0, (3, 3))
         m = (m + m.T) / 2.0
-        sym = Sym3(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
-        eigs = eig_sym3(sym)
+        d00, d01, d02, d11, d12, d22 = m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]
+        eigs = eig_sym3(d00, d01, d02, d11, d12, d22)
         assert eigs[0] >= eigs[1] >= eigs[2]
         tr, det = np.trace(m), np.linalg.det(m)
         assert abs(sum(eigs) - tr) <= 1e-10
         assert abs(eigs[0] * eigs[1] * eigs[2] - det) <= 1e-10
-        pair_sum = (
-            sym.d00 * sym.d11 - sym.d01 ** 2
-            + sym.d00 * sym.d22 - sym.d02 ** 2
-            + sym.d11 * sym.d22 - sym.d12 ** 2
-        )
+        pair_sum = d00 * d11 - d01 ** 2 + d00 * d22 - d02 ** 2 + d11 * d22 - d12 ** 2
         bound = 1e-8 * (1.0 + np.abs(m).max() ** 3)
         for x in eigs:
             assert abs(-x ** 3 + tr * x ** 2 - pair_sum * x + det) <= bound
 
-
-def test_sym3_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Sym3(math.inf, 0.0, 0.0, 1.0, 0.0, 1.0)

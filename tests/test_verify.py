@@ -11,13 +11,13 @@ import rebit.verify as verify
 from rebit.bloch import density_from_bloch
 from rebit.canonical import decompose_channel, factorize, reconstruction_residual
 from rebit.channel import AffineChannel, OrthogonalChannel, orthogonal_channel
-from rebit.cp import CP_TOL, charpoly_coeffs, chi_entries, chi_matrix, closed_form_verdict, pentagon_verdict, q_values
+from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict, pentagon_verdict, q_values
 from rebit.linalg import eig_sym3, jacobi_batch, rotation_matrix
 from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, roundtrip_sweep, run_verify, unital_grid_sweep
 
 
 def oracle(lam1, lam2, w1, w2):
-    return eig_sym3(chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_TOL
+    return eig_sym3(*chi_matrix(lam1, lam2, w1, w2))[2] >= -CP_TOL
 
 
 def grid_reference(step, oracle=oracle):
@@ -130,7 +130,7 @@ def floor_rim_points(rng, n):
     lam1, lam2, w1, w2 = rim_points(rng, n, 0.0)
 
     def below(k):
-        return jacobi_batch(*chi_entries(lam1, lam2, k * w1, k * w2)).min(axis=0) < -CP_TOL
+        return jacobi_batch(*chi_matrix(lam1, lam2, k * w1, k * w2)).min(axis=0) < -CP_TOL
 
     lo, hi = np.ones(n), np.full(n, 2.0)
     crossed = below(hi)
@@ -176,7 +176,7 @@ def test_oracle_takes_the_smallest_of_the_sorted_eigenvalues():
         *q_zero_lines(rng),
     ]
     for lam1, lam2, w1, w2 in sets:
-        entries = chi_entries(lam1, lam2, w1, w2)
+        entries = chi_matrix(lam1, lam2, w1, w2)
         expected = jacobi_batch(*entries).min(axis=0) >= -CP_TOL
         assert expected.any() and not expected.all()
         assert np.array_equal(verify._oracle_cp(lam1, lam2, w1, w2), expected)
@@ -316,7 +316,7 @@ def margin_with_q1_q2_swapped(q0, q1, q2, w1, w2):
 
 def converged_oracle(lam1, lam2, w1, w2):
     """_oracle_cp without the floor: every point's sweeps run to convergence."""
-    e0, e1, e2 = jacobi_batch(*chi_entries(lam1, lam2, w1, w2))
+    e0, e1, e2 = jacobi_batch(*chi_matrix(lam1, lam2, w1, w2))
     return np.minimum(np.minimum(e0, e1), e2) >= -CP_TOL
 
 
