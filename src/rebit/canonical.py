@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AffineChannel
-from .linalg import FLOATS, TAU
+from .linalg import FLOATS, TAU, rotation_matrix
 
 SECTOR_TOL = 1e-12  # slack of lam1 >= |lam2| in a canonical form
 
@@ -112,16 +112,11 @@ def rebuild(theta1, theta2, lam1, lam2, shift) -> tuple[np.ndarray, np.ndarray]:
     """Stacked inverse of :func:`factorize`: rot(theta1) diag(lam1, lam2) rot(theta2) and rot(theta1) s.
 
     Takes n of each parameter and an (n, 2) array of shifts; returns the
-    linear parts (n, 2, 2) and shifts (n, 2).  Each rotation is built from
-    ``math.cos`` and ``math.sin`` of its angle, as the float path of
-    :func:`rebit.linalg.rotation_matrix` builds it (its array path takes ``np.cos``).
+    linear parts (n, 2, 2) and shifts (n, 2).  The rotations are
+    :func:`rebit.linalg.rotation_matrix` of the whole angle arrays, one
+    ``np.cos`` and one ``np.sin`` call each.
     """
-    r1, r2 = np.empty((2, len(lam1), 2, 2))
-    for r, theta in ((r1, theta1), (r2, theta2)):
-        angles = np.asarray(theta).tolist()
-        r[:, 0, 0] = r[:, 1, 1] = [math.cos(t) for t in angles]
-        r[:, 1, 0] = [math.sin(t) for t in angles]
-        r[:, 0, 1] = -r[:, 1, 0]
+    r1, r2 = rotation_matrix(theta1), rotation_matrix(theta2)
     d = np.zeros((len(lam1), 2, 2))
     d[:, 0, 0], d[:, 1, 1] = lam1, lam2
     return r1 @ d @ r2, (r1 @ shift[:, :, None])[:, :, 0]

@@ -8,7 +8,9 @@ space can be explored.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -56,16 +58,16 @@ class AffineChannel:
         The stacks are checked once and frozen in place, not copied: each
         channel holds read-only row views of them, so the caller hands float
         arrays over and must not write to them through another reference.
+        The instances are made and filled by C-level loops (``map`` over
+        ``object.__new__`` and the slots' own setters), with no Python-level
+        step per channel.
         """
         a = _frozen_array(a, (len(a), 2, 2), copy=False)
         w = _frozen_array(w, (len(a), 2), copy=False)
-        set_a, set_w = cls.a.__set__, cls.w.__set__  # the slots' own setters, past the frozen __setattr__
-        channels = []
-        for row_a, row_w in zip(a, w):
-            channel = object.__new__(cls)
-            set_a(channel, row_a)
-            set_w(channel, row_w)
-            channels.append(channel)
+        channels = list(map(object.__new__, repeat(cls, len(a))))
+        # the slots' own setters, past the frozen __setattr__; deque(..., 0) drains the maps
+        deque(map(cls.a.__set__, channels, a), 0)
+        deque(map(cls.w.__set__, channels, w), 0)
         return channels
 
     @classmethod

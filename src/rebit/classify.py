@@ -241,6 +241,11 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     finishes it from pair j + 1.  The generator is rewound and advanced over
     exactly the doubles the channels used, so it ends where the one-at-a-time
     sampler leaves it.
+
+    The walk reads Python lists only: the starts, and the offsets, brought
+    back in step after each pass.  Its rows and pairs then become index
+    arrays once, and :func:`rebit.canonical.rebuild` assembles the chunk in
+    whole-array calls, with no Python-level step per channel.
     """
     count = len(a)
     state = rng.bit_generator.state
@@ -251,17 +256,18 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     starts = np.flatnonzero(in_pentagon[:-1])  # the pair after a start must be in the block
     # the dressing angles restore what the fold leaves out: axis swaps and sign pairs are rotations
     hi, lo = canonical_scales(lam1[starts], lam2[starts], np)
+    starts_list = starts.tolist() + [pairs]  # the sentinel stops the walk's scan: first_free <= pairs
     if not unital:
         depth = HEAD  # tries decided after every unresolved start the walk can still reach
         offsets = _first_admissible(u, starts, hi, lo, 0, depth)
-    starts_list = starts.tolist()
-    next_row = np.searchsorted(starts, np.arange(pairs + 1)).tolist()  # first start at or after each pair
+        offsets_list = offsets.tolist()  # what the walk reads, brought back in step after each pass
 
     rows, shift_pairs = [], []
     tail = None
-    first_free = 0  # first pair of the next channel
+    row = first_free = 0  # the row the scan has reached; the first pair of the next channel
     while len(rows) < count:
-        row = next_row[first_free]
+        while starts_list[row] < first_free:  # on to the first start at or after first_free
+            row += 1
         if row == len(starts):
             # the block ran out: every pair from first_free on but the last missed
             # the pentagon; the next block draws the last again (and skips a miss again)
@@ -269,7 +275,7 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
             break
         j = k = starts_list[row]
         if not unital:
-            offset = int(offsets[row])
+            offset = offsets_list[row]
             while offset < 0 and depth < LOOKAHEAD and len(rows) < count - 1:
                 # widen the window of this row and of every unresolved row after it
                 # fourfold: from HEAD 1, at most three passes after the first; the
@@ -277,8 +283,9 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
                 later = row + np.flatnonzero(offsets[row:] < 0)
                 wider = min(4 * depth, LOOKAHEAD)
                 offsets[later] = _first_admissible(u, starts[later], hi[later], lo[later], depth, wider)
+                offsets_list[row:] = offsets[row:].tolist()
                 depth = wider
-                offset = int(offsets[row])
+                offset = offsets_list[row]
             if offset < 0:
                 # no pass widens this row's window further: its search goes on
                 # through the block's own pairs, one try at a time
@@ -293,21 +300,22 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
         rows.append(row)
         shift_pairs.append(k)
         first_free = k + 2
+    walked = len(rows)
     if tail is None:
         rng.bit_generator.state = state
         rng.random(2 * first_free)
-
-    shift_pairs = np.array(shift_pairs, dtype=np.intp)
-    if unital:
-        shift = np.zeros((len(rows), 2))
     else:
-        shift = np.stack(_shift_from(u, shift_pairs, hi[rows], lo[rows]), axis=1)
-    theta = _uniform(0.0, TAU, u[shift_pairs + 1])
-    if tail is not None:
         rows.append(tail[0])
-        shift = np.concatenate([shift, tail[1][None]])
-        theta = np.concatenate([theta, tail[2][None]])
-    a[:len(rows)], w[:len(rows)] = rebuild(theta[:, 0], theta[:, 1], hi[rows], lo[rows], shift)
+
+    rows, k = np.array(rows, dtype=np.intp), np.array(shift_pairs, dtype=np.intp)
+    hi, lo = hi[rows], lo[rows]
+    shift, theta = np.zeros((len(rows), 2)), np.empty((len(rows), 2))
+    theta[:walked] = _uniform(0.0, TAU, u[k + 1])
+    if not unital:
+        shift[:walked, 0], shift[:walked, 1] = _shift_from(u, k, hi[:walked], lo[:walked])
+    if tail is not None:
+        shift[walked], theta[walked] = tail[1:]
+    a[:len(rows)], w[:len(rows)] = rebuild(theta[:, 0], theta[:, 1], hi, lo, shift)
     return len(rows)
 
 

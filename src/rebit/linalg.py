@@ -31,7 +31,8 @@ def _where(cond, if_true, if_false):
 # inputs arithmetic, abs, sqrt, copysign, maximum, minimum and where round
 # alike on both, so a kernel that uses only those (the Jacobi, the peak norm,
 # the canonical fold of rebit.cp) gives a lane the same bits with FLOATS as
-# with numpy; hypot and the trigonometric functions may differ in the last bit.
+# with numpy; hypot and the trigonometric functions may differ in the last bit
+# (factorize's float path takes math's; rotation_matrix takes numpy's on every path).
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
     copysign=math.copysign,
@@ -47,16 +48,20 @@ FLOATS = SimpleNamespace(
 
 
 def rotation_matrix(theta) -> np.ndarray:
-    """Counterclockwise rotation [[cos t, -sin t], [sin t, cos t]]; a stack (..., 2, 2) for an array of angles."""
-    if np.ndim(theta):
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("rotation angles must be finite")
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    """Counterclockwise rotation [[cos t, -sin t], [sin t, cos t]]; a stack (..., 2, 2) for an array of angles.
+
+    One path for floats and arrays, through ``np.cos`` and ``np.sin``, so an
+    angle's rotation has the same bits alone, inside an array and in
+    :func:`rebit.canonical.rebuild`.
+    """
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"rotation angles must be finite, got {theta!r}")
+    c, s = np.cos(theta), np.sin(theta)
+    r = np.empty(np.shape(theta) + (2, 2))
+    r[..., 0, 0] = r[..., 1, 1] = c
+    r[..., 1, 0] = s
+    r[..., 0, 1] = -s
+    return r
 
 
 def _check_finite_2x2(a: np.ndarray) -> np.ndarray:

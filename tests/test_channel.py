@@ -266,6 +266,18 @@ def test_stacked_channels_equal_one_by_one_construction():
     assert AffineChannel.stacked(np.zeros((0, 2, 2)), np.zeros((0, 2))) == []
 
 
+def test_stacked_channels_are_plain_slotted_instances_over_row_views():
+    rng = np.random.default_rng(18)
+    a, w = rng.uniform(-0.5, 0.5, (10_000, 2, 2)), rng.uniform(-0.2, 0.2, (10_000, 2))
+    channels = AffineChannel.stacked(a, w)
+    assert len(channels) == 10_000
+    for row, channel in enumerate(channels):
+        assert type(channel) is AffineChannel and not hasattr(channel, "__dict__")
+        assert np.shares_memory(channel.a, a) and np.shares_memory(channel.w, w)
+        assert not channel.a.flags.writeable and not channel.w.flags.writeable
+        assert np.array_equal(channel.a, a[row]) and np.array_equal(channel.w, w[row])
+
+
 @pytest.mark.parametrize("a, w", [
     (np.zeros((2, 2, 2)), np.zeros((3, 2))),
     (np.zeros((2, 2, 3)), np.zeros((2, 2))),

@@ -41,6 +41,18 @@ def test_rotation_matrix_of_an_array_is_the_stack_of_rotations():
         rotation_matrix(np.array([0.0, math.nan]))
 
 
+def test_rotation_matrix_of_a_float_is_its_row_in_an_array_bit_for_bit():
+    # one trig source, np.cos and np.sin, for a float and for an array of angles
+    angles = np.random.default_rng(18).uniform(0.0, linalg.TAU, 10_000).tolist()
+    angles += [0.0, -0.0, 1e-300, math.pi / 2, math.pi, math.nextafter(linalg.TAU, 0.0), 1e6]
+    stack = rotation_matrix(np.array(angles))
+    for theta, row in zip(angles, stack, strict=True):
+        assert rotation_matrix(theta).tobytes() == row.tobytes()
+        assert rotation_matrix(theta).tobytes() == rotation_matrix(np.array([theta]))[0].tobytes()
+    with pytest.raises(ValueError, match="rotation angles must be finite"):
+        rotation_matrix(math.inf)
+
+
 def test_svd2_identity():
     o1, s1, s2, o2 = svd2(np.eye(2))
     assert (s1, s2) == (1.0, 1.0)
