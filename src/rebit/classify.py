@@ -156,11 +156,14 @@ def ellipse_peak_norm(center: np.ndarray, semi_axes: tuple[float, float]) -> flo
     return _peak_norm(c1, c2, a1, a2, FLOATS)
 
 
-CHUNK = 1024  # channels drawn from one block and built together: bounds the sampler's memory
+# channels drawn from one block and built together: each block pays its passes, its set-up and
+# its rebuild whatever its size, and at 2,048 its decision temporaries (about 6k tries of 8 B each)
+# stay small; 4,096 raised the sampler's peak RSS by 1.6-2.4 MB and 10^4 by 7.6 MB, for no clear speed
+CHUNK = 2048
 PAIRS_PER_CHANNEL = 5  # block size: a channel takes about 4.6 pairs of draws; a block that runs out ends its chunk
 UNITAL_PAIRS_PER_CHANNEL = 3  # the same for unital channels, which take about 2.6
-HEAD = 1  # shift tries decided after every pentagon pair at first; 61 % of them are admissible
-LOOKAHEAD = 64  # the widest window, reached fourfold from HEAD where the walk needs it; then one try at a time
+HEAD = 1  # shift tries decided after every pentagon pair in the first pass; 61 % of them are admissible
+LOOKAHEAD = 64  # the widest window, reached fourfold from HEAD by the passes before the walk; then one try at a time
 
 
 def _uniform(low, high, u):
@@ -230,22 +233,21 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     The block is evaluated with numpy and walked in that order, from each
     channel's first free pair straight to the next pentagon pair.  Shift
     tries are decided by :func:`rebit.cp.decide` on arrays, bit for bit as
-    :func:`_first_shift` decides them: the HEAD tries after every pentagon
-    pair at once; then, when the walk reaches a row with no admissible try
-    yet, a window four times as wide for it and every later such row, until
-    the row resolves or its window reaches LOOKAHEAD.  A row that no pass
-    widens further, because its window is at LOOKAHEAD or because it is the
-    block's last channel, goes on through the block's own pairs with
-    :func:`_first_shift`, one try at a time.  Only a search that runs past
-    the block's last usable pair ends the chunk; :func:`_sample_shift`
-    finishes it from pair j + 1.  The generator is rewound and advanced over
-    exactly the doubles the channels used, so it ends where the one-at-a-time
-    sampler leaves it.
-
-    The walk reads Python lists only: the starts, and the offsets, brought
-    back in step after each pass.  Its rows and pairs then become index
-    arrays once, and :func:`rebit.canonical.rebuild` assembles the chunk in
-    whole-array calls, with no Python-level step per channel.
+    :func:`_first_shift` decides them, before the walk: the HEAD tries after
+    every pentagon pair at once, then a window four times as wide for every
+    row still without an admissible try, until none is left or the window
+    reaches LOOKAHEAD; a count-1 block stops after the first pass.  Which
+    tries get decided changes no verdict, so the walk needs no pass of its
+    own: each row's successor, the first pentagon pair at or after k + 2, is
+    one ``searchsorted`` over the block, read as a Python list.  A row still
+    open goes on through the block's own pairs with :func:`_first_shift`, one
+    try at a time.  Only a search that runs past the block's last usable
+    pair ends the chunk; :func:`_sample_shift` finishes it from pair j + 1.
+    The generator is rewound and advanced over exactly the doubles the
+    channels used, so it ends where the one-at-a-time sampler leaves it.
+    The walked rows' shift pairs then come from the offsets as one array,
+    and :func:`rebit.canonical.rebuild` assembles the chunk in whole-array
+    calls, with no Python-level step per channel.
     """
     count = len(a)
     state = rng.bit_generator.state
@@ -256,58 +258,56 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     starts = np.flatnonzero(in_pentagon[:-1])  # the pair after a start must be in the block
     # the dressing angles restore what the fold leaves out: axis swaps and sign pairs are rotations
     hi, lo = canonical_scales(lam1[starts], lam2[starts], np)
-    starts_list = starts.tolist() + [pairs]  # the sentinel stops the walk's scan: first_free <= pairs
-    if not unital:
-        depth = HEAD  # tries decided after every unresolved start the walk can still reach
+    if unital:
+        following = np.searchsorted(starts, starts + 2)
+    else:
+        depth = HEAD  # tries decided after every start that is still open
         offsets = _first_admissible(u, starts, hi, lo, 0, depth)
-        offsets_list = offsets.tolist()  # what the walk reads, brought back in step after each pass
+        open_rows = np.flatnonzero(offsets < 0)
+        while count > 1 and open_rows.size and depth < LOOKAHEAD:  # one channel goes on one try at a time
+            wider = min(4 * depth, LOOKAHEAD)
+            found = _first_admissible(u, starts[open_rows], hi[open_rows], lo[open_rows], depth, wider)
+            offsets[open_rows] = found
+            open_rows = open_rows[found < 0]
+            depth = wider
+        following = np.where(offsets < 0, -1, np.searchsorted(starts, starts + offsets + 3))
+    following = following.tolist()  # each row's successor in the walk; -1 where the row is still open
 
-    rows, shift_pairs = [], []
+    rows = []
     tail = None
-    row = first_free = 0  # the row the scan has reached; the first pair of the next channel
-    while len(rows) < count:
-        while starts_list[row] < first_free:  # on to the first start at or after first_free
-            row += 1
-        if row == len(starts):
+    row, ends = 0, len(starts)
+    while len(rows) < count and row < ends:
+        after = following[row]
+        if after < 0:
+            # no pass decided an admissible try for this row: its search goes
+            # on through the block's own pairs, one try at a time
+            j = int(starts[row])
+            found = _first_shift(float(hi[row]), float(lo[row]), map(np.ndarray.tolist, u[j + 1 + depth:-1]))
+            if found is None:
+                rng.bit_generator.state = state
+                rng.random(2 * (j + 1))
+                tail = (row, _sample_shift(rng, hi[row], lo[row]), rng.uniform(0.0, TAU, 2))
+                break
+            offsets[row] = depth + found[0]
+            after = int(np.searchsorted(starts, j + offsets[row] + 3))
+        rows.append(row)
+        row = after
+    walked = len(rows)
+    if tail is not None:
+        rows.append(tail[0])
+    rows = np.array(rows, dtype=np.intp)
+    k = starts[rows[:walked]]
+    if not unital:
+        k += 1 + offsets[rows[:walked]]
+    if tail is None:
+        first_free = int(k[-1]) + 2 if walked else 0
+        if walked < count:
             # the block ran out: every pair from first_free on but the last missed
             # the pentagon; the next block draws the last again (and skips a miss again)
             first_free = max(first_free, pairs - 1)
-            break
-        j = k = starts_list[row]
-        if not unital:
-            offset = offsets_list[row]
-            while offset < 0 and depth < LOOKAHEAD and len(rows) < count - 1:
-                # widen the window of this row and of every unresolved row after it
-                # fourfold: from HEAD 1, at most three passes after the first; the
-                # block's last channel goes on one try at a time, cheaper than a pass
-                later = row + np.flatnonzero(offsets[row:] < 0)
-                wider = min(4 * depth, LOOKAHEAD)
-                offsets[later] = _first_admissible(u, starts[later], hi[later], lo[later], depth, wider)
-                offsets_list[row:] = offsets[row:].tolist()
-                depth = wider
-                offset = offsets_list[row]
-            if offset < 0:
-                # no pass widens this row's window further: its search goes on
-                # through the block's own pairs, one try at a time
-                found = _first_shift(float(hi[row]), float(lo[row]), map(np.ndarray.tolist, u[j + 1 + depth:-1]))
-                if found is None:
-                    rng.bit_generator.state = state
-                    rng.random(2 * (j + 1))
-                    tail = (row, _sample_shift(rng, hi[row], lo[row]), rng.uniform(0.0, TAU, 2))
-                    break
-                offset = depth + found[0]
-            k = j + 1 + offset
-        rows.append(row)
-        shift_pairs.append(k)
-        first_free = k + 2
-    walked = len(rows)
-    if tail is None:
         rng.bit_generator.state = state
         rng.random(2 * first_free)
-    else:
-        rows.append(tail[0])
 
-    rows, k = np.array(rows, dtype=np.intp), np.array(shift_pairs, dtype=np.intp)
     hi, lo = hi[rows], lo[rows]
     shift, theta = np.zeros((len(rows), 2)), np.empty((len(rows), 2))
     theta[:walked] = _uniform(0.0, TAU, u[k + 1])

@@ -25,7 +25,7 @@ from rebit.classify import (
     _sample_shift,
 )
 from rebit.cp import CP_TOL, chi_matrix, chi_rank, closed_form_verdict, decide, is_cp, q_values, shift_region_contains
-from rebit.linalg import FLOATS, TAU, _peak_norm, rotation_matrix
+from rebit.linalg import FLOATS, TAU, _peak_bracket, _peak_norm, rotation_matrix
 from test_cp import FAR_FRAMES
 
 DIAG = AffineChannel.diagonal
@@ -332,9 +332,9 @@ def test_sampler_stream_does_not_depend_on_the_shift_window(monkeypatch, head, l
 
 
 def test_each_block_decides_its_shift_tries_in_at_most_four_passes(monkeypatch):
-    # one pass over the first try after every pentagon pair, then windows
-    # of 4, 16 and 64 tries where the walk reaches a row that needs them;
-    # a block's last channel goes on one try at a time instead of another pass
+    # before the walk: one pass over the first try after every pentagon pair,
+    # then windows of 4, 16 and 64 tries for every row still open; a count-1
+    # block makes the first pass only and goes on one try at a time
     passes = []
 
     def counted_chunk(rng, a, w, unital):
@@ -443,22 +443,31 @@ def test_sampler_fills_each_block_of_non_unital_channels(monkeypatch, seed):
 
 
 def test_sampler_sends_few_shift_tries_to_newton(monkeypatch):
-    # decide's closed-form bounds settle most tries; the Newton peak norm gets the rest
-    decided, newton = [], []
+    # decide's closed-form bounds settle most tries, the bracket nearly all the
+    # rest; the array Newton peak norm gets almost none (float calls, from the
+    # one-at-a-time searches, are not counted)
+    decided, bracket, newton = [], [], []
 
     def counted_decide(lam1, lam2, w1, w2, xp, tol):
         decided.append(np.broadcast(lam1, lam2, w1, w2).size)
         return decide(lam1, lam2, w1, w2, xp, tol)
 
+    def counted_bracket(s1, s2, a1, a2, xp):
+        bracket.append(np.broadcast(s1, s2, a1, a2).size)
+        return _peak_bracket(s1, s2, a1, a2, xp)
+
     def counted_peak_norm(s1, s2, a1, a2, xp):
-        newton.append(np.broadcast(s1, s2, a1, a2).size)
+        if xp is not FLOATS:
+            newton.append(np.broadcast(s1, s2, a1, a2).size)
         return _peak_norm(s1, s2, a1, a2, xp)
 
     monkeypatch.setattr(classify_module, "decide", counted_decide)
+    monkeypatch.setattr(cp_module, "_peak_bracket", counted_bracket)
     monkeypatch.setattr(cp_module, "_peak_norm", counted_peak_norm)
     sample_cp_channels(np.random.default_rng(9), 10**4)
     assert 5 * 10**4 < sum(decided) < 1.2 * 10**5  # the walk stays in its blocks: about 99k tries
-    assert 0 < sum(newton) < 0.15 * sum(decided)
+    assert 0 < sum(bracket) < 0.15 * sum(decided)
+    assert sum(newton) <= 0.001 * sum(decided)
 
 
 # PCG64 states after sample_cp_channels(default_rng(seed), 10**4, unital): the
@@ -558,6 +567,33 @@ def test_peak_norm_of_circles_with_far_centres():
     scalar = [_peak_norm(*lane, FLOATS) for lane in zip(s1.tolist(), s2.tolist(), r.tolist(), r.tolist())]
     assert np.array(scalar).tobytes() == peak.tobytes()
     assert ellipse_peak_norm((0.0, 1e30), (0.5, 0.5)) == 1e30
+
+
+def test_peak_bracket_holds_the_newton_peak_norm_on_floats_and_arrays():
+    # lower <= peak^2 <= upper to a few ulps on the peak norm's families and
+    # edge cases, the same bits on floats, and tight on most lanes
+    rng = np.random.default_rng(61)
+    a1, a2, s1, s2 = random_ellipses(rng, 5000)
+    zero = np.zeros(5000)
+    far = 10.0 ** rng.uniform(0.0, 30.0, 5000)
+    families = [
+        random_ellipses(rng, 20000),
+        tangent_ellipses(rng, 5000),  # near-tangent: b2 ~ d with a small b1
+        (a1, 0.5 * a1, zero, s2),  # the hard case b1 = 0, mostly with b2 < d
+        (a1, a2, s1, zero),  # b2 = 0
+        (a1, a1, s1, s2),  # circles
+        (a1, zero, s1, s2),  # segments
+        (zero, zero, s1, s2),  # points
+        (a1, a2, s1 * far, s2 * far),  # shifts out to 1e30
+    ]
+    a1, a2, s1, s2 = (np.concatenate(parts) for parts in zip(*families))
+    lower, upper = _peak_bracket(s1, s2, a1, a2, np)
+    peak2 = _peak_norm(s1, s2, a1, a2, np) ** 2
+    slack = 8 * np.finfo(float).eps * peak2
+    assert (lower <= peak2 + slack).all() and (peak2 <= upper + slack).all()
+    assert np.count_nonzero(upper - lower <= 1e-12 * peak2) > 0.7 * len(a1)
+    scalar = [_peak_bracket(*lane, FLOATS) for lane in zip(s1.tolist(), s2.tolist(), a1.tolist(), a2.tolist())]
+    assert np.array(scalar).T.tobytes() == np.stack([lower, upper]).tobytes()
 
 
 def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
