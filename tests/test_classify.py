@@ -316,14 +316,14 @@ def assert_same_stream(seed: int, count: int, unital: bool) -> None:
 
 
 @pytest.mark.parametrize("unital", [False, True])
-@pytest.mark.parametrize("count", [0, 1, 256, 257, CHUNK, CHUNK + 1])  # 256 and 257 end inside a block
+@pytest.mark.parametrize("count", [0, 1, 256, 257, 1024, 1025, CHUNK, CHUNK + 1])  # 256 to 1025 end inside a block
 @pytest.mark.parametrize("seed", [0, 5, 17])
 def test_sampler_matches_the_one_at_a_time_reference(seed, count, unital):
     assert_same_stream(seed, count, unital)
 
 
 @pytest.mark.parametrize("unital", [False, True])
-@pytest.mark.parametrize("count", [1, CHUNK + 1])
+@pytest.mark.parametrize("count", [1, 1025, CHUNK + 1])
 @pytest.mark.parametrize("head, lookahead", [(1, 1), (1, 4), (1, 64), (3, 40), (4, 64), (64, 64)])
 def test_sampler_stream_does_not_depend_on_the_shift_window(monkeypatch, head, lookahead, count, unital):
     monkeypatch.setattr(classify_module, "HEAD", head)
