@@ -163,7 +163,8 @@ CHUNK = 2048
 PAIRS_PER_CHANNEL = 5  # block size: a channel takes about 4.6 pairs of draws; a block that runs out ends its chunk
 UNITAL_PAIRS_PER_CHANNEL = 3  # the same for unital channels, which take about 2.6
 HEAD = 1  # shift tries decided after every pentagon pair in the first pass; 61 % of them are admissible
-LOOKAHEAD = 64  # the widest window, reached fourfold from HEAD by the passes before the walk; then one try at a time
+LOOKAHEAD = 64  # the widest window of the passes before the walk, reached fourfold from HEAD; the walk's narrowest
+MAX_SHIFT_TRIES = 100_000  # a channel's shift search raises after this many misses
 
 
 def _uniform(low, high, u):
@@ -171,37 +172,8 @@ def _uniform(low, high, u):
     return low + (high - low) * u
 
 
-def _first_shift(lam1: float, lam2: float, doubles) -> tuple | None:
-    """The first admissible shift try made from the pairs of doubles ``doubles``: (index, s1, s2), or None.
-
-    A try maps pair (u1, u2) to ``rng.uniform``'s shift in the box |s_i| <=
-    1 - |lam_i| and is decided by :func:`rebit.cp.decide` on Python floats with
-    tolerance 0; lam1 >= |lam2|.
-    """
-    b1, b2 = max(0.0, 1.0 - abs(lam1)), max(0.0, 1.0 - abs(lam2))
-    for i, (u1, u2) in enumerate(doubles):
-        s1, s2 = _uniform(-b1, b1, u1), _uniform(-b2, b2, u2)
-        if decide(lam1, lam2, s1, s2, FLOATS, 0.0)[0]:
-            return i, s1, s2
-    return None
-
-
-def _sample_shift(rng: np.random.Generator, lam1: float, lam2: float) -> np.ndarray:
-    """Rejection-sample a shift whose channel is CP and maps the disk into itself.
-
-    Tries are those of :func:`_first_shift` on the generator's next pairs of
-    doubles.  Raises RuntimeError after 100,000 misses: returning a zero shift
-    instead would pass a unital channel off as a non-unital draw.
-    """
-    lam1, lam2 = float(lam1), float(lam2)
-    found = _first_shift(lam1, lam2, ((rng.random(), rng.random()) for _ in range(100_000)))
-    if found is None:
-        raise RuntimeError(f"no admissible shift found for lam = ({lam1}, {lam2})")
-    return np.array(found[1:])
-
-
 def _shift_from(u: np.ndarray, k, lam1, lam2) -> tuple:
-    """The shift try :func:`_first_shift` makes from pair ``k`` of ``u``; arrays too."""
+    """The shift try made from pair ``k`` of ``u``: ``rng.uniform``'s shift in the box |s_i| <= 1 - |lam_i|."""
     b1 = np.maximum(0.0, 1.0 - abs(lam1))
     b2 = np.maximum(0.0, 1.0 - abs(lam2))
     return _uniform(-b1, b1, u[k, 0]), _uniform(-b2, b2, u[k, 1])
@@ -210,7 +182,9 @@ def _shift_from(u: np.ndarray, k, lam1, lam2) -> tuple:
 def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int, stop: int) -> np.ndarray:
     """Offset of the first admissible shift try among tries ``first`` to ``stop - 1`` after each start, or -1.
 
-    A try whose rotation pair would fall outside the block is not admissible.
+    Each try is decided by :func:`rebit.cp.decide` on arrays with tolerance 0,
+    lam1 >= |lam2|.  A try whose rotation pair would fall outside the block
+    ``u`` is not admissible.
     """
     tries = starts[:, None] + np.arange(first + 1, stop + 1)
     in_block = tries < len(u) - 1
@@ -221,7 +195,7 @@ def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int,
 
 
 def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital: bool) -> int:
-    """Draw between 1 and ``len(a)`` channels from one block of ``rng.random`` pairs.
+    """Draw up to ``len(a)`` channels from one block of ``rng.random`` pairs.
 
     Their linear parts and shifts go to the first rows of ``a`` and ``w``;
     returns how many were drawn.
@@ -231,22 +205,22 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     shift tries until one is admissible (pair k; k = j when unital), then its
     two rotation angles (pair k + 1); the next channel starts at pair k + 2.
     The block is evaluated with numpy and walked in that order, from each
-    channel's first free pair straight to the next pentagon pair.  Shift
-    tries are decided by :func:`rebit.cp.decide` on arrays, bit for bit as
-    :func:`_first_shift` decides them, before the walk: the HEAD tries after
-    every pentagon pair at once, then a window four times as wide for every
-    row still without an admissible try, until none is left or the window
-    reaches LOOKAHEAD; a count-1 block stops after the first pass.  Which
-    tries get decided changes no verdict, so the walk needs no pass of its
-    own: each row's successor, the first pentagon pair at or after k + 2, is
-    one ``searchsorted`` over the block, read as a Python list.  A row still
-    open goes on through the block's own pairs with :func:`_first_shift`, one
-    try at a time.  Only a search that runs past the block's last usable
-    pair ends the chunk; :func:`_sample_shift` finishes it from pair j + 1.
-    The generator is rewound and advanced over exactly the doubles the
+    channel's first free pair straight to the next pentagon pair.  Every
+    shift try is decided by :func:`_first_admissible`.  Before the walk it
+    decides the HEAD tries after every pentagon pair at once, then a window
+    four times as wide for every row still without an admissible try, until
+    none is left or the window reaches LOOKAHEAD; a count-1 block skips these
+    passes.  Which tries get decided changes no verdict, so each row's
+    successor, the first pentagon pair at or after k + 2, is one
+    ``searchsorted`` over the block, read as a Python list.  The walk widens
+    a row it reaches still open fourfold, from LOOKAHEAD tries, appending the
+    generator's next pairs (the same stream) where the window runs past the
+    block, and raises RuntimeError after MAX_SHIFT_TRIES misses: a zero
+    shift would pass a unital channel off as a non-unital draw.  The
+    generator is then rewound and advanced over exactly the doubles the
     channels used, so it ends where the one-at-a-time sampler leaves it.
-    The walked rows' shift pairs then come from the offsets as one array,
-    and :func:`rebit.canonical.rebuild` assembles the chunk in whole-array
+    The walked rows' shift pairs come from the offsets as one array, and
+    :func:`rebit.canonical.rebuild` assembles the chunk in whole-array
     calls, with no Python-level step per channel.
     """
     count = len(a)
@@ -261,60 +235,54 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     if unital:
         following = np.searchsorted(starts, starts + 2)
     else:
-        depth = HEAD  # tries decided after every start that is still open
-        offsets = _first_admissible(u, starts, hi, lo, 0, depth)
-        open_rows = np.flatnonzero(offsets < 0)
-        while count > 1 and open_rows.size and depth < LOOKAHEAD:  # one channel goes on one try at a time
-            wider = min(4 * depth, LOOKAHEAD)
-            found = _first_admissible(u, starts[open_rows], hi[open_rows], lo[open_rows], depth, wider)
-            offsets[open_rows] = found
-            open_rows = open_rows[found < 0]
-            depth = wider
+        depth, offsets = 0, np.full(len(starts), -1)  # tries decided after every start that is still open
+        if count > 1:  # one channel goes straight to the walk
+            depth, offsets = HEAD, _first_admissible(u, starts, hi, lo, 0, HEAD)
+            open_rows = np.flatnonzero(offsets < 0)
+            while open_rows.size and depth < LOOKAHEAD:
+                wider = min(4 * depth, LOOKAHEAD)
+                found = _first_admissible(u, starts[open_rows], hi[open_rows], lo[open_rows], depth, wider)
+                offsets[open_rows] = found
+                open_rows = open_rows[found < 0]
+                depth = wider
         following = np.where(offsets < 0, -1, np.searchsorted(starts, starts + offsets + 3))
     following = following.tolist()  # each row's successor in the walk; -1 where the row is still open
 
     rows = []
-    tail = None
     row, ends = 0, len(starts)
     while len(rows) < count and row < ends:
         after = following[row]
         if after < 0:
-            # no pass decided an admissible try for this row: its search goes
-            # on through the block's own pairs, one try at a time
-            j = int(starts[row])
-            found = _first_shift(float(hi[row]), float(lo[row]), map(np.ndarray.tolist, u[j + 1 + depth:-1]))
-            if found is None:
-                rng.bit_generator.state = state
-                rng.random(2 * (j + 1))
-                tail = (row, _sample_shift(rng, hi[row], lo[row]), rng.uniform(0.0, TAU, 2))
-                break
-            offsets[row] = depth + found[0]
+            # no pass decided an admissible try for this row: widen its window
+            j, one = int(starts[row]), slice(row, row + 1)
+            tried = min(depth, pairs - 2 - j)  # no pass decided a try whose rotation pair fell past the block
+            while offsets[row] < 0:
+                if tried >= MAX_SHIFT_TRIES:
+                    raise RuntimeError(f"no admissible shift found for lam = ({hi[row]}, {lo[row]})")
+                wider = min(max(4 * tried, LOOKAHEAD), MAX_SHIFT_TRIES)
+                if j + wider + 2 > len(u):
+                    u = np.concatenate((u, rng.random((j + wider + 2 - len(u), 2))))
+                offsets[one] = _first_admissible(u, starts[one], hi[one], lo[one], tried, wider)
+                tried = wider
             after = int(np.searchsorted(starts, j + offsets[row] + 3))
         rows.append(row)
         row = after
-    walked = len(rows)
-    if tail is not None:
-        rows.append(tail[0])
     rows = np.array(rows, dtype=np.intp)
-    k = starts[rows[:walked]]
+    k = starts[rows]
     if not unital:
-        k += 1 + offsets[rows[:walked]]
-    if tail is None:
-        first_free = int(k[-1]) + 2 if walked else 0
-        if walked < count:
-            # the block ran out: every pair from first_free on but the last missed
-            # the pentagon; the next block draws the last again (and skips a miss again)
-            first_free = max(first_free, pairs - 1)
-        rng.bit_generator.state = state
-        rng.random(2 * first_free)
+        k += 1 + offsets[rows]
+    first_free = int(k[-1]) + 2 if len(rows) else 0
+    if len(rows) < count:
+        # the block ran out: every pair from first_free on but the last missed
+        # the pentagon; the next block draws the last again (and skips a miss again)
+        first_free = max(first_free, pairs - 1)
+    rng.bit_generator.state = state
+    rng.random(2 * first_free)
 
     hi, lo = hi[rows], lo[rows]
-    shift, theta = np.zeros((len(rows), 2)), np.empty((len(rows), 2))
-    theta[:walked] = _uniform(0.0, TAU, u[k + 1])
+    shift, theta = np.zeros((len(rows), 2)), _uniform(0.0, TAU, u[k + 1])
     if not unital:
-        shift[:walked, 0], shift[:walked, 1] = _shift_from(u, k, hi[:walked], lo[:walked])
-    if tail is not None:
-        shift[walked], theta[walked] = tail[1:]
+        shift[:, 0], shift[:, 1] = _shift_from(u, k, hi, lo)
     a[:len(rows)], w[:len(rows)] = rebuild(theta[:, 0], theta[:, 1], hi, lo, shift)
     return len(rows)
 

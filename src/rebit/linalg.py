@@ -283,9 +283,10 @@ def _peak_bracket(s1, s2, a1, a2, xp) -> tuple:
     dual at the multiplier mu = t + b2 is an upper bound wherever mu > d:
     |s|^2 + a2^2 + mu + b1^2 / (mu - d) + b2^2 / mu, the maximum over the
     whole plane of the objective plus mu (1 - x^2 - y^2) (More and Sorensen,
-    1983).  Both meet at the root, and Newton from below keeps mu - d >= b1;
-    a lane whose rounded mu - d is not positive, such as the hard case b1 =
-    0 at its root mu = d, gets the upper bound inf.  mu - d is exact where
+    1983).  Both meet at the root, and Newton from below keeps mu - d >= b1.
+    In the hard case b1 = 0 the dual also holds at mu = d, Newton's start
+    there, as its term b1^2 / (mu - d) is 0; any other lane whose rounded
+    mu - d is not positive gets the upper bound inf.  mu - d is exact where
     mu and d lie within a factor 2 of each other, so the upper bound is that
     of the problem with d rounded, within an ulp of d of the true one, up to
     a few ulps of its nonnegative terms.  FLOATS and numpy give the same bits.
@@ -295,4 +296,4 @@ def _peak_bracket(s1, s2, a1, a2, xp) -> tuple:
     p1, p2 = z1 + a1 * x, z2 + a2 * y
     gap = mu - d
     dual = z1 * z1 + z2 * z2 + a2 * a2 + mu + b1 * b1 / xp.where(gap > 0.0, gap, 1.0) + b2 * b2 / mu
-    return p1 * p1 + p2 * p2, xp.where(gap > 0.0, dual, math.inf)
+    return p1 * p1 + p2 * p2, xp.where((gap > 0.0) | ((gap == 0.0) & (b1 == 0.0)), dual, math.inf)

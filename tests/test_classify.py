@@ -22,7 +22,6 @@ from rebit.classify import (
     kraus_rank,
     sample_cp_channel,
     sample_cp_channels,
-    _sample_shift,
 )
 from rebit.cp import CP_TOL, chi_matrix, chi_rank, closed_form_verdict, decide, is_cp, q_values, shift_region_contains
 from rebit.linalg import FLOATS, TAU, _peak_bracket, _peak_norm, rotation_matrix
@@ -233,24 +232,27 @@ def test_sampler_stream_matches_single_draws():
         assert is_cp(channel).is_cp
 
 
-class _CornerGenerator:
-    """Stands in for a Generator: every double drawn is 1.0, so every shift try is the box's corner."""
+def test_shift_sampler_raises_instead_of_returning_a_zero_shift(monkeypatch):
+    # with every shift try rejected, the first channel's search decides exactly
+    # 100,000 tries, most of them on pairs drawn past its block, and raises;
+    # its widest windows hold a few MiB at most
+    tries = []
 
-    def __init__(self):
-        self.draws = 0
+    def rejecting_decide(lam1, lam2, w1, w2, xp, tol):
+        verdict, *rest = decide(lam1, lam2, w1, w2, xp, tol)
+        tries.append(verdict.size)
+        return np.zeros_like(verdict), *rest
 
-    def random(self):
-        self.draws += 1
-        return 1.0
-
-
-def test_shift_sampler_raises_instead_of_returning_a_zero_shift():
-    # lam = (1/2, 0) puts the shift box at [-1/2, 1/2] x [-1, 1], whose corner
-    # fails the determinant condition, so every one of the 100,000 tries misses.
-    rng = _CornerGenerator()
-    with pytest.raises(RuntimeError, match=r"\(0\.5, 0\.0\)"):
-        _sample_shift(rng, 0.5, 0.0)
-    assert rng.draws == 2 * 100_000
+    monkeypatch.setattr(classify_module, "decide", rejecting_decide)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match=r"no admissible shift found for lam = \(0\.\d+, -?0\.\d+\)$"):
+            sample_cp_channels(np.random.default_rng(0), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(tries) == 100_000
+    assert peak < 8 * 2**20
 
 
 def test_sampled_images_stay_inside_disk():
@@ -333,27 +335,29 @@ def test_sampler_stream_does_not_depend_on_the_shift_window(monkeypatch, head, l
 
 def test_each_block_decides_its_shift_tries_in_at_most_four_passes(monkeypatch):
     # before the walk: one pass over the first try after every pentagon pair,
-    # then windows of 4, 16 and 64 tries for every row still open; a count-1
-    # block makes the first pass only and goes on one try at a time
-    passes = []
+    # then windows of 4, 16 and 64 tries for every row still open; the walk's
+    # widenings, of one row each, are not passes.  A count-1 block makes no
+    # pass: one widening decides the first 64 tries of its row
+    calls = []  # per block: passes, one-row calls
 
     def counted_chunk(rng, a, w, unital):
-        passes.append(0)
+        calls.append([0, 0])
         return sample_chunk(rng, a, w, unital)
 
-    def counted_search(*args):
-        passes[-1] += 1
-        return first_admissible(*args)
+    def counted_search(u, starts, *args):
+        calls[-1][len(starts) == 1] += 1
+        return first_admissible(u, starts, *args)
 
     sample_chunk, first_admissible = classify_module._sample_chunk, classify_module._first_admissible
     monkeypatch.setattr(classify_module, "_sample_chunk", counted_chunk)
     monkeypatch.setattr(classify_module, "_first_admissible", counted_search)
     sample_cp_channels(np.random.default_rng(6), 4 * CHUNK)
+    passes = [block[0] for block in calls]
     assert max(passes) == 4 and min(passes) >= 1
-    passes.clear()
+    calls.clear()
     for seed in range(50):
         sample_cp_channel(seed)
-    assert passes == [1] * 50
+    assert calls == [[0, 1]] * 50
 
 
 @pytest.mark.parametrize("unital", [False, True])
@@ -388,43 +392,66 @@ def test_sampler_stream_survives_blocks_that_run_out(monkeypatch, seed, unital):
     assert len(blocks) > 2  # 2 without running out: CHUNK, then 40
 
 
-def count_shift_searches(monkeypatch) -> tuple[list, list]:
-    """Record the tries decide makes on Python floats and the _sample_shift calls."""
-    float_tries, tails = [], []
+class _CountingGenerator:
+    """Passes a Generator's draws through and records the size asked for by each ``random`` call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.bit_generator, self.sizes, self._rng = rng.bit_generator, [], rng
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+def count_shift_searches(monkeypatch) -> tuple[list, list, list]:
+    """Record the tries decide makes on Python floats, the one-row searches and the pairs drawn past each block."""
+    float_tries, one_row, past_block = [], [], []
 
     def counted_decide(lam1, lam2, w1, w2, xp, tol):
         if xp is FLOATS:
             float_tries.append((lam1, lam2))
         return decide(lam1, lam2, w1, w2, xp, tol)
 
-    def counted_shift(rng, lam1, lam2):
-        tails.append((lam1, lam2))
-        return _sample_shift(rng, lam1, lam2)
+    def counted_chunk(rng, a, w, unital):
+        counting = _CountingGenerator(rng)
+        drawn = sample_chunk(counting, a, w, unital)
+        # the block, then the pairs its walk appends, then the advance over the used doubles
+        past_block.extend(counting.sizes[1:-1])
+        return drawn
 
+    def counted_search(u, starts, *args):
+        if len(starts) == 1:
+            one_row.append(len(u))
+        return first_admissible(u, starts, *args)
+
+    sample_chunk, first_admissible = classify_module._sample_chunk, classify_module._first_admissible
     monkeypatch.setattr(classify_module, "decide", counted_decide)
-    monkeypatch.setattr(classify_module, "_sample_shift", counted_shift)
-    return float_tries, tails
+    monkeypatch.setattr(classify_module, "_sample_chunk", counted_chunk)
+    monkeypatch.setattr(classify_module, "_first_admissible", counted_search)
+    return float_tries, one_row, past_block
 
 
-def test_sampler_finishes_long_shift_searches_inside_the_block(monkeypatch):
-    # with one shift try evaluated per pentagon pair, every channel whose
-    # first try misses goes on through its block one try at a time
-    float_tries, tails = count_shift_searches(monkeypatch)
+def test_sampler_walk_widens_an_open_row(monkeypatch):
+    # with one shift try decided per pentagon pair before the walk, every
+    # channel whose first try misses gets its own window widened by the walk
+    float_tries, one_row, _ = count_shift_searches(monkeypatch)
     monkeypatch.setattr(classify_module, "LOOKAHEAD", 1)
     assert_same_stream(11, 120, unital=False)
-    assert tails == []
-    assert len(float_tries) > 10
+    assert float_tries == []
+    assert len(one_row) > 10
 
 
-def test_sampler_finishes_long_shift_searches_with_the_scalar_loop(monkeypatch):
-    # blocks of one pair per channel leave the in-block search too few pairs,
-    # so searches run past the block and _sample_shift finishes them
-    _, tails = count_shift_searches(monkeypatch)
-    monkeypatch.setattr(classify_module, "LOOKAHEAD", 1)
+@pytest.mark.parametrize("seed, lookahead", [(11, 1), (0, 1), (0, 4)])
+def test_sampler_open_row_window_runs_past_the_block(monkeypatch, seed, lookahead):
+    # blocks of one pair per channel leave a widened window too few pairs, so
+    # the walk appends the generator's next pairs to the block; a row walked
+    # after that still restarts where the passes stopped, in the block itself
+    _, _, past_block = count_shift_searches(monkeypatch)
+    monkeypatch.setattr(classify_module, "LOOKAHEAD", lookahead)
     monkeypatch.setattr(classify_module, "PAIRS_PER_CHANNEL", 1)
     monkeypatch.setattr(classify_module, "UNITAL_PAIRS_PER_CHANNEL", 1)
-    assert_same_stream(11, 120, unital=False)
-    assert len(tails) > 0
+    assert_same_stream(seed, 300, unital=False)
+    assert len(past_block) > 0
 
 
 @pytest.mark.parametrize("seed", [0, 3, 6])
@@ -444,8 +471,7 @@ def test_sampler_fills_each_block_of_non_unital_channels(monkeypatch, seed):
 
 def test_sampler_sends_few_shift_tries_to_newton(monkeypatch):
     # decide's closed-form bounds settle most tries, the bracket nearly all the
-    # rest; the array Newton peak norm gets almost none (float calls, from the
-    # one-at-a-time searches, are not counted)
+    # rest; the Newton peak norm gets almost none
     decided, bracket, newton = [], [], []
 
     def counted_decide(lam1, lam2, w1, w2, xp, tol):
@@ -457,8 +483,7 @@ def test_sampler_sends_few_shift_tries_to_newton(monkeypatch):
         return _peak_bracket(s1, s2, a1, a2, xp)
 
     def counted_peak_norm(s1, s2, a1, a2, xp):
-        if xp is not FLOATS:
-            newton.append(np.broadcast(s1, s2, a1, a2).size)
+        newton.append(np.broadcast(s1, s2, a1, a2).size)
         return _peak_norm(s1, s2, a1, a2, xp)
 
     monkeypatch.setattr(classify_module, "decide", counted_decide)
@@ -571,7 +596,8 @@ def test_peak_norm_of_circles_with_far_centres():
 
 def test_peak_bracket_holds_the_newton_peak_norm_on_floats_and_arrays():
     # lower <= peak^2 <= upper to a few ulps on the peak norm's families and
-    # edge cases, the same bits on floats, and tight on most lanes
+    # edge cases, the same bits on floats, tight on most lanes and finite on
+    # nearly every hard-case lane
     rng = np.random.default_rng(61)
     a1, a2, s1, s2 = random_ellipses(rng, 5000)
     zero = np.zeros(5000)
@@ -592,12 +618,16 @@ def test_peak_bracket_holds_the_newton_peak_norm_on_floats_and_arrays():
     slack = 8 * np.finfo(float).eps * peak2
     assert (lower <= peak2 + slack).all() and (peak2 <= upper + slack).all()
     assert np.count_nonzero(upper - lower <= 1e-12 * peak2) > 0.7 * len(a1)
+    # the hard case b1 = 0 with b2 < d, where Newton starts at its root mu = d
+    hard = (s1 == 0.0) & (a2 * abs(s2) < (a1 - a2) * (a1 + a2))
+    assert np.count_nonzero(hard) > 5000
+    assert np.count_nonzero(np.isfinite(upper[hard])) >= 0.95 * np.count_nonzero(hard)
     scalar = [_peak_bracket(*lane, FLOATS) for lane in zip(s1.tolist(), s2.tolist(), a1.tolist(), a2.tolist())]
     assert np.array(scalar).T.tobytes() == np.stack([lower, upper]).tobytes()
 
 
 def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
-    """The shift test of _sample_shift, one try at a time, with each peak norm checked against the quartic."""
+    """The reference sampler's shift test, one try at a time, with each peak norm checked against the quartic."""
     decisions = []
     for l1, l2, x, y in zip(lam1, lam2, s1, s2):
         _, margin = shift_region_contains(l1, l2, x, y)
@@ -608,7 +638,7 @@ def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
 
 
 def float_decision(lam1, lam2, s1, s2) -> list[bool]:
-    """decide with FLOATS and tolerance 0, one try at a time: the path _sample_shift takes."""
+    """decide with FLOATS and tolerance 0, one try at a time: the float path must give the arrays' verdicts."""
     return [decide(*lane, FLOATS, 0.0)[0] for lane in zip(lam1.tolist(), lam2.tolist(), s1.tolist(), s2.tolist())]
 
 
