@@ -163,7 +163,6 @@ CHUNK = 2048
 PAIRS_PER_CHANNEL = 5  # block size: a channel takes about 4.6 pairs of draws; a block that runs out ends its chunk
 UNITAL_PAIRS_PER_CHANNEL = 3  # the same for unital channels, which take about 2.6
 HEAD = 1  # shift tries decided after every pentagon pair in the first pass; 61 % of them are admissible
-LOOKAHEAD = 64  # the widest window of the passes before the walk, reached fourfold from HEAD; the walk's narrowest
 MAX_SHIFT_TRIES = 100_000  # a channel's shift search raises after this many misses
 
 
@@ -183,14 +182,11 @@ def _first_admissible(u: np.ndarray, starts: np.ndarray, lam1, lam2, first: int,
     """Offset of the first admissible shift try among tries ``first`` to ``stop - 1`` after each start, or -1.
 
     Each try is decided by :func:`rebit.cp.decide` on arrays with tolerance 0,
-    lam1 >= |lam2|.  A try whose rotation pair would fall outside the block
-    ``u`` is not admissible.
+    lam1 >= |lam2|.  ``u`` must hold the rotation pair after the last try.
     """
     tries = starts[:, None] + np.arange(first + 1, stop + 1)
-    in_block = tries < len(u) - 1
-    tries = np.minimum(tries, len(u) - 1)
     lam1, lam2 = lam1[:, None], lam2[:, None]
-    ok = in_block & decide(lam1, lam2, *_shift_from(u, tries, lam1, lam2), np, 0.0)[0]
+    ok = decide(lam1, lam2, *_shift_from(u, tries, lam1, lam2), np, 0.0)[0]
     return np.where(ok.any(axis=1), first + ok.argmax(axis=1), -1)
 
 
@@ -206,71 +202,55 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     two rotation angles (pair k + 1); the next channel starts at pair k + 2.
     The block is evaluated with numpy and walked in that order, from each
     channel's first free pair straight to the next pentagon pair.  Every
-    shift try is decided by :func:`_first_admissible`.  Before the walk it
-    decides the HEAD tries after every pentagon pair at once, then a window
-    four times as wide for every row still without an admissible try, until
-    none is left or the window reaches LOOKAHEAD; a count-1 block skips these
-    passes.  Which tries get decided changes no verdict, so each row's
-    successor, the first pentagon pair at or after k + 2, is one
-    ``searchsorted`` over the block, read as a Python list.  The walk widens
-    a row it reaches still open fourfold, from LOOKAHEAD tries, appending the
-    generator's next pairs (the same stream) where the window runs past the
-    block, and raises RuntimeError after MAX_SHIFT_TRIES misses: a zero
-    shift would pass a unital channel off as a non-unital draw.  The
-    generator is then rewound and advanced over exactly the doubles the
-    channels used, so it ends where the one-at-a-time sampler leaves it.
-    The walked rows' shift pairs come from the offsets as one array, and
+    shift try is decided before the walk by :func:`_first_admissible`: the
+    first pass decides the HEAD tries after every pentagon pair at once, and
+    each later pass a window four times as wide for every row still without
+    an admissible try, until none is left or a row has missed
+    MAX_SHIFT_TRIES times; a count-1 block searches its first row only.  A
+    window that runs past the block first appends the generator's next pairs
+    to it, which continue the same stream.  Which tries get decided changes
+    no verdict, so each row's successor, the first pentagon pair at or after
+    k + 2, is one ``searchsorted`` over the block, read as a Python list; a
+    unital row takes offset -1, so k = j.  A row with no admissible try ends
+    the walk, which raises RuntimeError if it walked that row: a zero shift
+    would pass a unital channel off as a non-unital draw.  The generator is
+    then rewound and advanced over exactly the doubles the channels used, so
+    it ends where the one-at-a-time sampler leaves it.  The walked rows'
+    shift pairs come from the offsets as one array, and
     :func:`rebit.canonical.rebuild` assembles the chunk in whole-array
     calls, with no Python-level step per channel.
     """
     count = len(a)
     state = rng.bit_generator.state
-    pairs = count * (UNITAL_PAIRS_PER_CHANNEL if unital else PAIRS_PER_CHANNEL) + LOOKAHEAD + 2
+    pairs = count * (UNITAL_PAIRS_PER_CHANNEL if unital else PAIRS_PER_CHANNEL) + 2
     u = rng.random((pairs, 2))
     lam1, lam2 = _uniform(-1.0, 1.0, u).T
     in_pentagon, _ = pentagon_verdict(lam1, lam2, 0.0)
     starts = np.flatnonzero(in_pentagon[:-1])  # the pair after a start must be in the block
     # the dressing angles restore what the fold leaves out: axis swaps and sign pairs are rotations
     hi, lo = canonical_scales(lam1[starts], lam2[starts], np)
-    if unital:
-        following = np.searchsorted(starts, starts + 2)
-    else:
-        depth, offsets = 0, np.full(len(starts), -1)  # tries decided after every start that is still open
-        if count > 1:  # one channel goes straight to the walk
-            depth, offsets = HEAD, _first_admissible(u, starts, hi, lo, 0, HEAD)
-            open_rows = np.flatnonzero(offsets < 0)
-            while open_rows.size and depth < LOOKAHEAD:
-                wider = min(4 * depth, LOOKAHEAD)
-                found = _first_admissible(u, starts[open_rows], hi[open_rows], lo[open_rows], depth, wider)
-                offsets[open_rows] = found
-                open_rows = open_rows[found < 0]
-                depth = wider
-        following = np.where(offsets < 0, -1, np.searchsorted(starts, starts + offsets + 3))
-    following = following.tolist()  # each row's successor in the walk; -1 where the row is still open
+    offsets = np.full(len(starts), -1)  # k = j + 1 + offset: unital rows keep -1, so k = j
+    searched = 0 if unital else 1 if count == 1 else len(starts)  # a single channel walks its first row only
+    open_rows, depth = slice(0, searched), 0  # a slice makes the first pass, over every row, faster
+    while depth < MAX_SHIFT_TRIES and (j := starts[open_rows]).size:
+        wider = min(max(4 * depth, HEAD), MAX_SHIFT_TRIES)
+        needed = int(j[-1]) + wider + 2  # through the rotation pair after the last row's widest try
+        if needed > len(u):
+            u = np.concatenate((u, rng.random((needed - len(u), 2))))
+        offsets[open_rows] = _first_admissible(u, j, hi[open_rows], lo[open_rows], depth, wider)
+        open_rows, depth = np.flatnonzero(offsets[:searched] < 0), wider
+    following = np.searchsorted(starts, starts + offsets + 3)
+    following[open_rows] = len(starts)  # a row with no admissible try ends the walk
+    following = following.tolist()
 
-    rows = []
-    row, ends = 0, len(starts)
-    while len(rows) < count and row < ends:
-        after = following[row]
-        if after < 0:
-            # no pass decided an admissible try for this row: widen its window
-            j, one = int(starts[row]), slice(row, row + 1)
-            tried = min(depth, pairs - 2 - j)  # no pass decided a try whose rotation pair fell past the block
-            while offsets[row] < 0:
-                if tried >= MAX_SHIFT_TRIES:
-                    raise RuntimeError(f"no admissible shift found for lam = ({hi[row]}, {lo[row]})")
-                wider = min(max(4 * tried, LOOKAHEAD), MAX_SHIFT_TRIES)
-                if j + wider + 2 > len(u):
-                    u = np.concatenate((u, rng.random((j + wider + 2 - len(u), 2))))
-                offsets[one] = _first_admissible(u, starts[one], hi[one], lo[one], tried, wider)
-                tried = wider
-            after = int(np.searchsorted(starts, j + offsets[row] + 3))
+    rows, row = [], 0
+    while len(rows) < count and row < len(starts):
         rows.append(row)
-        row = after
+        row = following[row]
+    if not unital and rows and offsets[rows[-1]] < 0:
+        raise RuntimeError(f"no admissible shift found for lam = ({hi[rows[-1]]}, {lo[rows[-1]]})")
     rows = np.array(rows, dtype=np.intp)
-    k = starts[rows]
-    if not unital:
-        k += 1 + offsets[rows]
+    k = starts[rows] + 1 + offsets[rows]
     first_free = int(k[-1]) + 2 if len(rows) else 0
     if len(rows) < count:
         # the block ran out: every pair from first_free on but the last missed

@@ -255,6 +255,20 @@ def test_shift_sampler_raises_instead_of_returning_a_zero_shift(monkeypatch):
     assert peak < 8 * 2**20
 
 
+def test_shift_sampler_raises_where_the_walk_reaches_a_row_with_no_admissible_try(monkeypatch):
+    # every shift try of the third channel is rejected, the later rows' are
+    # not: the walk must end on the third row and raise, not step past it
+    third = np.linalg.svd(sample_cp_channels(np.random.default_rng(0), 3)[2].a, compute_uv=False)[0]
+
+    def rejecting_decide(lam1, lam2, w1, w2, xp, tol):
+        verdict, *rest = decide(lam1, lam2, w1, w2, xp, tol)
+        return verdict & (abs(lam1 - third) > 1e-9), *rest
+
+    monkeypatch.setattr(classify_module, "decide", rejecting_decide)
+    with pytest.raises(RuntimeError, match=rf"no admissible shift found for lam = \({str(third)[:8]}"):
+        sample_cp_channels(np.random.default_rng(0), 5)
+
+
 def test_sampled_images_stay_inside_disk():
     rng = np.random.default_rng(53)
     boundary = [state_polar(1.0, phi) for phi in np.linspace(0.0, 2 * math.pi, 360, endpoint=False)]
@@ -326,38 +340,46 @@ def test_sampler_matches_the_one_at_a_time_reference(seed, count, unital):
 
 @pytest.mark.parametrize("unital", [False, True])
 @pytest.mark.parametrize("count", [1, 1025, CHUNK + 1])
-@pytest.mark.parametrize("head, lookahead", [(1, 1), (1, 4), (1, 64), (3, 40), (4, 64), (64, 64)])
-def test_sampler_stream_does_not_depend_on_the_shift_window(monkeypatch, head, lookahead, count, unital):
+@pytest.mark.parametrize("head, pairs", [(1, 1), (1, 4), (1, 64), (3, 40), (4, 64), (64, 64)])
+def test_sampler_stream_does_not_depend_on_the_shift_window(monkeypatch, head, pairs, count, unital):
+    # nor on the block size: blocks of one pair per channel run out, and
+    # their last rows' windows run past them
     monkeypatch.setattr(classify_module, "HEAD", head)
-    monkeypatch.setattr(classify_module, "LOOKAHEAD", lookahead)
+    monkeypatch.setattr(classify_module, "PAIRS_PER_CHANNEL", pairs)
+    monkeypatch.setattr(classify_module, "UNITAL_PAIRS_PER_CHANNEL", pairs)
     assert_same_stream(21, count, unital)
 
 
-def test_each_block_decides_its_shift_tries_in_at_most_four_passes(monkeypatch):
-    # before the walk: one pass over the first try after every pentagon pair,
-    # then windows of 4, 16 and 64 tries for every row still open; the walk's
-    # widenings, of one row each, are not passes.  A count-1 block makes no
-    # pass: one widening decides the first 64 tries of its row
-    calls = []  # per block: passes, one-row calls
+def test_each_block_decides_its_shift_tries_in_at_most_ten_passes(monkeypatch):
+    # one pass over the first try after every pentagon pair, then windows of
+    # 4, 16, 64, ... tries for every row still open, up to 100,000: each pass
+    # searches fewer rows than the last, and from 64 tries on it decides fewer
+    # tries than the first.  A count-1 block searches its first row only
+    calls = []  # per block: (rows, first, stop) of each search
 
     def counted_chunk(rng, a, w, unital):
-        calls.append([0, 0])
+        calls.append([])
         return sample_chunk(rng, a, w, unital)
 
-    def counted_search(u, starts, *args):
-        calls[-1][len(starts) == 1] += 1
-        return first_admissible(u, starts, *args)
+    def counted_search(u, starts, lam1, lam2, first, stop):
+        calls[-1].append((len(starts), first, stop))
+        return first_admissible(u, starts, lam1, lam2, first, stop)
 
     sample_chunk, first_admissible = classify_module._sample_chunk, classify_module._first_admissible
     monkeypatch.setattr(classify_module, "_sample_chunk", counted_chunk)
     monkeypatch.setattr(classify_module, "_first_admissible", counted_search)
     sample_cp_channels(np.random.default_rng(6), 4 * CHUNK)
-    passes = [block[0] for block in calls]
-    assert max(passes) == 4 and min(passes) >= 1
+    assert len(calls) == 4
+    for block in calls:
+        assert 1 <= len(block) <= 10
+        searched = [rows for rows, _, _ in block]
+        assert searched == sorted(set(searched), reverse=True)
+        assert all(rows * (stop - first) < block[0][0] for rows, first, stop in block if first >= 64)
+    assert any(stop > 64 for block in calls for _, _, stop in block)
     calls.clear()
     for seed in range(50):
         sample_cp_channel(seed)
-    assert calls == [[0, 1]] * 50
+    assert len(calls) == 50 and all(rows == 1 for block in calls for rows, _, _ in block)
 
 
 @pytest.mark.parametrize("unital", [False, True])
@@ -403,9 +425,9 @@ class _CountingGenerator:
         return self._rng.random(size)
 
 
-def count_shift_searches(monkeypatch) -> tuple[list, list, list]:
-    """Record the tries decide makes on Python floats, the one-row searches and the pairs drawn past each block."""
-    float_tries, one_row, past_block = [], [], []
+def count_shift_searches(monkeypatch) -> tuple[list, list]:
+    """Record the tries decide makes on Python floats and the pairs drawn past each block."""
+    float_tries, past_block = [], []
 
     def counted_decide(lam1, lam2, w1, w2, xp, tol):
         if xp is FLOATS:
@@ -415,39 +437,30 @@ def count_shift_searches(monkeypatch) -> tuple[list, list, list]:
     def counted_chunk(rng, a, w, unital):
         counting = _CountingGenerator(rng)
         drawn = sample_chunk(counting, a, w, unital)
-        # the block, then the pairs its walk appends, then the advance over the used doubles
+        # the block, then the pairs its passes append, then the advance over the used doubles
         past_block.extend(counting.sizes[1:-1])
         return drawn
 
-    def counted_search(u, starts, *args):
-        if len(starts) == 1:
-            one_row.append(len(u))
-        return first_admissible(u, starts, *args)
-
-    sample_chunk, first_admissible = classify_module._sample_chunk, classify_module._first_admissible
+    sample_chunk = classify_module._sample_chunk
     monkeypatch.setattr(classify_module, "decide", counted_decide)
     monkeypatch.setattr(classify_module, "_sample_chunk", counted_chunk)
-    monkeypatch.setattr(classify_module, "_first_admissible", counted_search)
-    return float_tries, one_row, past_block
+    return float_tries, past_block
 
 
-def test_sampler_walk_widens_an_open_row(monkeypatch):
-    # with one shift try decided per pentagon pair before the walk, every
-    # channel whose first try misses gets its own window widened by the walk
-    float_tries, one_row, _ = count_shift_searches(monkeypatch)
-    monkeypatch.setattr(classify_module, "LOOKAHEAD", 1)
+def test_sampler_decides_its_shift_tries_on_arrays(monkeypatch):
+    # the rows whose first try misses are searched on arrays too, in the
+    # passes before the walk: decide never runs on Python floats
+    float_tries, _ = count_shift_searches(monkeypatch)
     assert_same_stream(11, 120, unital=False)
     assert float_tries == []
-    assert len(one_row) > 10
 
 
-@pytest.mark.parametrize("seed, lookahead", [(11, 1), (0, 1), (0, 4)])
-def test_sampler_open_row_window_runs_past_the_block(monkeypatch, seed, lookahead):
-    # blocks of one pair per channel leave a widened window too few pairs, so
-    # the walk appends the generator's next pairs to the block; a row walked
-    # after that still restarts where the passes stopped, in the block itself
-    _, _, past_block = count_shift_searches(monkeypatch)
-    monkeypatch.setattr(classify_module, "LOOKAHEAD", lookahead)
+@pytest.mark.parametrize("seed, head", [(11, 1), (0, 1), (0, 4)])
+def test_sampler_open_row_window_runs_past_the_block(monkeypatch, seed, head):
+    # blocks of one pair per channel leave the last rows' windows too few
+    # pairs, so a pass appends the generator's next pairs to the block first
+    _, past_block = count_shift_searches(monkeypatch)
+    monkeypatch.setattr(classify_module, "HEAD", head)
     monkeypatch.setattr(classify_module, "PAIRS_PER_CHANNEL", 1)
     monkeypatch.setattr(classify_module, "UNITAL_PAIRS_PER_CHANNEL", 1)
     assert_same_stream(seed, 300, unital=False)
@@ -490,7 +503,7 @@ def test_sampler_sends_few_shift_tries_to_newton(monkeypatch):
     monkeypatch.setattr(cp_module, "_peak_bracket", counted_bracket)
     monkeypatch.setattr(cp_module, "_peak_norm", counted_peak_norm)
     sample_cp_channels(np.random.default_rng(9), 10**4)
-    assert 5 * 10**4 < sum(decided) < 1.2 * 10**5  # the walk stays in its blocks: about 99k tries
+    assert 5 * 10**4 < sum(decided) < 1.2 * 10**5  # about 99.6k tries, rows the walk never reaches included
     assert 0 < sum(bracket) < 0.15 * sum(decided)
     assert sum(newton) <= 0.001 * sum(decided)
 
