@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AffineChannel
+from .channel import AffineChannel, _frozen_array
 from .linalg import FLOATS, TAU, rotation_matrix
 
 SECTOR_TOL = 1e-12  # slack of lam1 >= |lam2| in a canonical form
@@ -36,11 +36,7 @@ class CanonicalForm:
                 raise ValueError(f"rotation angle must be finite, got {angle!r}")
             angle = float(angle) % TAU  # TAU where % rounds a tiny negative angle up
             object.__setattr__(self, name, 0.0 if angle == TAU else angle)
-        shift = np.array(self.shift, dtype=float)
-        if shift.shape != (2,) or not np.isfinite(shift).all():
-            raise ValueError("shift must be a finite 2-vector")
-        shift.flags.writeable = False
-        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "shift", _frozen_array(self.shift, (2,)))
         if self.lam1 < 0.0:
             raise ValueError(f"lam1 must be nonnegative, got {self.lam1!r}")
         if abs(self.lam2) > self.lam1 + SECTOR_TOL:
@@ -75,16 +71,21 @@ def factorize(a00, a01, a10, a11, w0, w1, xp=FLOATS):
     q = 0.0 + a00 * a01 + a10 * a11
     r = a01 * a01 + a11 * a11
     half = 0.5 * xp.arctan2(2.0 * q, p - r)
+    del p, q, r  # each temporary goes once used: on arrays, every one is a chunk
     c, s = xp.cos(half), xp.sin(half)
+    del half
     y10, y11 = a00 * c + a01 * s, a10 * c + a11 * s  # A @ (c, s)
     y20, y21 = a01 * c - a00 * s, a11 * c - a10 * s  # A @ (-s, c)
     lam1 = xp.hypot(y10, y11)
     zero = lam1 == 0.0
     norm = xp.where(zero, 1.0, lam1)
     u0, u1 = y10 / norm, y11 / norm
+    del y10, y11, norm
     d = 0.0 - u1 * y20 + u0 * y21
+    del y20, y21
     size = abs(d)
     lam2 = xp.where(zero, 0.0, xp.copysign(xp.where(lam1 < size, lam1, size), d))
+    del d, size
     theta1 = xp.where(zero, 0.0, xp.arctan2(u1, u0)) % TAU
     theta2 = xp.where(zero, 0.0, xp.arctan2(-s, c)) % TAU
     c1, s1 = xp.cos(theta1), xp.sin(theta1)

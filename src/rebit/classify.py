@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import decompose_channel, rebuild
-from .channel import AffineChannel
+from .channel import AffineChannel, _frozen_array
 from .cp import CpReport, canonical_frame, canonical_scales, decide, is_cp, pentagon_verdict
 from .linalg import FLOATS, TAU, _peak_norm
 
@@ -128,9 +128,7 @@ class ImageEllipse:
     tilt: float
 
     def __post_init__(self):
-        center = np.array(self.center, dtype=float)
-        center.flags.writeable = False
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", _frozen_array(self.center, (2,)))
 
 
 def image_ellipse(channel: AffineChannel) -> ImageEllipse:

@@ -151,11 +151,12 @@ def decide(lam1, lam2, w1, w2, xp, tol=CP_TOL) -> tuple:
     norm of the image's farthest point on either axis, (|w1| + lam1, |w2|) or
     (|w1|, |w2| + |lam2|).  Then the bracket of
     :func:`rebit.linalg._peak_bracket`, BRACKET_STEPS Newton steps in.  Then
-    the Newton peak norm of :func:`rebit.linalg._peak_norm`.  A bound that
-    lies more than ``PEAK_BAND`` on its side of (1 + tol)^2 decides: far
-    beyond the bounds' rounding and the peak norm's error, so every stage
-    gives the verdict the Newton peak norm gives.  Floats and arrays run the
-    same stages; arrays compress each stage's open lanes out.
+    the Newton peak norm of :func:`rebit.linalg._peak_norm`, the same kernel
+    NEWTON_STEPS steps in.  A bound that lies more than ``PEAK_BAND`` on its
+    side of (1 + tol)^2 decides: far beyond the bounds' rounding and the peak
+    norm's error, so every stage gives the verdict the Newton peak norm
+    gives.  Floats and arrays run the same stages; arrays compress each
+    stage's open lanes out.
     """
     verdict, q, margin = closed_form_verdict(lam1, lam2, w1, w2, tol)
     a2, z1, z2 = abs(lam2), abs(w1), abs(w2)

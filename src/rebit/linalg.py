@@ -21,7 +21,7 @@ JACOBI_MAX_SWEEPS = 100
 # and over 1000 times the rounding of the bounds and of the sweeps (a few dozen ulps of that scale).
 FLOOR_BAND = 1e-12
 NEWTON_STEPS = 8  # 6 already agree with 60 to 5e-16 on near-tangent, near-circle and log-scaled ellipses
-# Newton steps before _peak_bracket reads its bounds: of the ~36k tries that five 10^4 sampler batches
+# _peak_bracket's default step count, cp.decide's bracket: of the ~36k tries that five 10^4 sampler batches
 # leave open, two steps leave none to the full Newton, one leaves 8 and none 248, at equal speed
 BRACKET_STEPS = 2
 
@@ -218,36 +218,51 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
 def _peak_norm(s1, s2, a1, a2, xp):
     """Largest norm of s + (a1 x, a2 y) over the unit circle, a1 >= a2 >= 0.
 
-    Reflecting the shift into the first quadrant keeps the peak, so let b =
-    (a1 |s1|, a2 |s2|) and d = a1^2 - a2^2.  On the circle |s + (a1 x, a2 y)|^2
-    = |s|^2 + a2^2 + d x^2 + 2 (b1 x + b2 y), a trust-region problem with
-    strong duality: the maximizer is (x, y) = (sqrt(1 - y^2), y), y = b2 / mu,
-    at the multiplier mu >= max(d, b2) where b1 / x = mu - d (More and
-    Sorensen, 1983); the hard case b1 = 0 is mu = max(d, b2) itself.  Newton
-    (:func:`_newton`) runs on t = mu - b2, in which 1 - y = t / mu keeps its
-    digits at the top of the circle: psi(t) = mu - d - b1 / x is concave and
-    increasing, so from a lower bound it rises to the root monotonically.
-    The start (:func:`_secular`) is the largest of three lower bounds: mu - d
-    = b1; mu = |b|, the root for circles; and min(u^(1/3), u / e^2) with u =
-    b1^2 max(d, b2) / 8 and e = max(b2 - d, 0).  The last one covers the
-    near-tangent case b2 ~ d with a small b1, where the root grows as
-    b1^(2/3) and Newton from the others would only triple t per step.  Its
-    u^(1/3) is taken from above as the larger of u^(5/16) and u, with square
-    roots only.
-
-    Only + - * /, abs, sqrt and maximum are used, so FLOATS and numpy give
-    the same bits.  The floors keep every lane free of division by zero:
-    t >= b2 * 1e-300 keeps t / mu, and so x, above 0 however far the shift.
-    That floor is reached only where b2 > 1, where the peak exceeds sqrt(2).
+    The square root of :func:`_peak_bracket`'s lower bound NEWTON_STEPS
+    Newton steps in, where the iteration has converged to rounding.  FLOATS
+    and numpy give the same bits.
     """
-    z1, z2, b1, b2, c, _, t = _secular(s1, s2, a1, a2, xp)
-    _, x, y = _newton(t, b1, b2, c, NEWTON_STEPS, xp)
-    p1, p2 = z1 + a1 * x, z2 + a2 * y
-    return xp.sqrt(p1 * p1 + p2 * p2)
+    return xp.sqrt(_peak_bracket(s1, s2, a1, a2, xp, NEWTON_STEPS)[0])
 
 
-def _secular(s1, s2, a1, a2, xp) -> tuple:
-    """The trust-region data of :func:`_peak_norm` and its Newton start: (z1, z2, b1, b2, c, d, t)."""
+def _peak_bracket(s1, s2, a1, a2, xp, steps=BRACKET_STEPS) -> tuple:
+    """Lower and upper bounds on the square of :func:`_peak_norm`, ``steps`` Newton steps in.
+
+    The one Newton kernel of the peak norm, read at BRACKET_STEPS for the
+    bracket and at NEWTON_STEPS for the peak norm itself.  Reflecting the
+    shift into the first quadrant keeps the peak, so let b = (a1 |s1|, a2
+    |s2|) and d = a1^2 - a2^2.  On the circle |s + (a1 x, a2 y)|^2 = |s|^2 +
+    a2^2 + d x^2 + 2 (b1 x + b2 y), a trust-region problem with strong
+    duality: the maximizer is (x, y) = (sqrt(1 - y^2), y), y = b2 / mu, at the
+    multiplier mu >= max(d, b2) where b1 / x = mu - d (More and Sorensen,
+    1983); the hard case b1 = 0 is mu = max(d, b2) itself.  Newton runs on t
+    = mu - b2, in which 1 - y = t / mu keeps its digits at the top of the
+    circle: psi(t) = mu - d - b1 / x is concave and increasing, so from a
+    lower bound it rises to the root monotonically.  The start is the largest
+    of three lower bounds: mu - d = b1; mu = |b|, the root for circles; and
+    min(u^(1/3), u / e^2) with u = b1^2 max(d, b2) / 8 and e = max(b2 - d,
+    0).  The last one covers the near-tangent case b2 ~ d with a small b1,
+    where the root grows as b1^(2/3) and Newton from the others would only
+    triple t per step.  Its u^(1/3) is taken from above as the larger of
+    u^(5/16) and u, with square roots only.  The floors keep every lane free
+    of division by zero: t >= b2 * 1e-300 keeps t / mu, and so x, above 0
+    however far the shift.  That floor is reached only where b2 > 1, where
+    the peak exceeds sqrt(2).
+
+    At any t the point x = sqrt(t / mu (1 + y)), y = b2 / mu lies on the unit
+    circle (x^2 + y^2 = 1 for every t), so its squared norm is the lower
+    bound.  The trust-region dual at mu = t + b2 is an upper bound wherever
+    mu > d: |s|^2 + a2^2 + mu + b1^2 / (mu - d) + b2^2 / mu, the maximum over
+    the whole plane of the objective plus mu (1 - x^2 - y^2).  Both meet at
+    the root, and Newton from below keeps mu - d >= b1.  In the hard case b1
+    = 0 the dual also holds at mu = d, Newton's start there, as its term b1^2
+    / (mu - d) is 0; any other lane whose rounded mu - d is not positive gets
+    the upper bound inf.  mu - d is exact where mu and d lie within a factor
+    2 of each other, so the upper bound is that of the problem with d
+    rounded, within an ulp of d of the true one, up to a few ulps of its
+    nonnegative terms.  Only + - * /, abs, sqrt, maximum and where are used,
+    so FLOATS and numpy give the same bits.
+    """
     z1, z2 = abs(s1), abs(s2)
     b1, b2 = a1 * z1, a2 * z2
     bb = b1 * b1
@@ -258,11 +273,6 @@ def _secular(s1, s2, a1, a2, xp) -> tuple:
     e = xp.maximum(xp.maximum(-c, r * xp.sqrt(xp.sqrt(r))), u)  # max(b2 - d, an upper bound on u^(1/3))
     t = xp.maximum(xp.maximum(b1 + c, u / xp.maximum(e * e, 1e-300)), 1e-300)
     t = xp.maximum(xp.maximum(t, bb / (xp.sqrt(bb + b2 * b2) + b2 + 1e-300)), b2 * 1e-300)
-    return z1, z2, b1, b2, c, d, t
-
-
-def _newton(t, b1, b2, c, steps: int, xp) -> tuple:
-    """``steps`` Newton steps of :func:`_peak_norm` from t, then the point on the circle they reach: (mu, x, y)."""
     for _ in range(steps):
         mu = t + b2
         y = b2 / mu
@@ -271,29 +281,8 @@ def _newton(t, b1, b2, c, steps: int, xp) -> tuple:
         t = xp.maximum(t, t + tx * (q - t + c) / (tx + q * y * y))
     mu = t + b2
     y = b2 / mu
-    return mu, xp.sqrt(t / mu * (1.0 + y)), y
-
-
-def _peak_bracket(s1, s2, a1, a2, xp) -> tuple:
-    """Lower and upper bounds on the square of :func:`_peak_norm`, BRACKET_STEPS Newton steps in.
-
-    At any t of the Newton iteration the point x = sqrt(t / mu (1 + y)), y =
-    b2 / mu lies on the unit circle (x^2 + y^2 = 1 for every t), so its
-    squared norm |s + (a1 x, a2 y)|^2 is a lower bound.  The trust-region
-    dual at the multiplier mu = t + b2 is an upper bound wherever mu > d:
-    |s|^2 + a2^2 + mu + b1^2 / (mu - d) + b2^2 / mu, the maximum over the
-    whole plane of the objective plus mu (1 - x^2 - y^2) (More and Sorensen,
-    1983).  Both meet at the root, and Newton from below keeps mu - d >= b1.
-    In the hard case b1 = 0 the dual also holds at mu = d, Newton's start
-    there, as its term b1^2 / (mu - d) is 0; any other lane whose rounded
-    mu - d is not positive gets the upper bound inf.  mu - d is exact where
-    mu and d lie within a factor 2 of each other, so the upper bound is that
-    of the problem with d rounded, within an ulp of d of the true one, up to
-    a few ulps of its nonnegative terms.  FLOATS and numpy give the same bits.
-    """
-    z1, z2, b1, b2, c, d, t = _secular(s1, s2, a1, a2, xp)
-    mu, x, y = _newton(t, b1, b2, c, BRACKET_STEPS, xp)
+    x = xp.sqrt(t / mu * (1.0 + y))
     p1, p2 = z1 + a1 * x, z2 + a2 * y
     gap = mu - d
-    dual = z1 * z1 + z2 * z2 + a2 * a2 + mu + b1 * b1 / xp.where(gap > 0.0, gap, 1.0) + b2 * b2 / mu
+    dual = z1 * z1 + z2 * z2 + a2 * a2 + mu + bb / xp.where(gap > 0.0, gap, 1.0) + b2 * b2 / mu
     return p1 * p1 + p2 * p2, xp.where((gap > 0.0) | ((gap == 0.0) & (b1 == 0.0)), dual, math.inf)

@@ -97,6 +97,10 @@ def test_canonical_form_validates_convention():
         CanonicalForm(theta1=0.0, theta2=0.0, lam1=-0.5, lam2=0.0, shift=np.zeros(2))
     with pytest.raises(ValueError):
         CanonicalForm(theta1=0.0, theta2=0.0, lam1=0.3, lam2=0.8, shift=np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        CanonicalForm(theta1=0.0, theta2=0.0, lam1=0.5, lam2=0.0, shift=(math.inf, 0.0))
+    with pytest.raises(ValueError, match="shape"):
+        CanonicalForm(theta1=0.0, theta2=0.0, lam1=0.5, lam2=0.0, shift=np.zeros(3))
 
 
 def test_canonical_form_reduces_angles_to_one_turn():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import tracemalloc
@@ -24,7 +25,7 @@ from rebit.classify import (
     sample_cp_channels,
 )
 from rebit.cp import CP_TOL, chi_matrix, chi_rank, closed_form_verdict, decide, is_cp, q_values, shift_region_contains
-from rebit.linalg import FLOATS, TAU, _peak_bracket, _peak_norm, rotation_matrix
+from rebit.linalg import BRACKET_STEPS, FLOATS, NEWTON_STEPS, TAU, _peak_bracket, _peak_norm, rotation_matrix
 from test_cp import FAR_FRAMES
 
 DIAG = AffineChannel.diagonal
@@ -637,6 +638,60 @@ def test_peak_bracket_holds_the_newton_peak_norm_on_floats_and_arrays():
     assert np.count_nonzero(np.isfinite(upper[hard])) >= 0.95 * np.count_nonzero(hard)
     scalar = [_peak_bracket(*lane, FLOATS) for lane in zip(s1.tolist(), s2.tolist(), a1.tolist(), a2.tolist())]
     assert np.array(scalar).T.tobytes() == np.stack([lower, upper]).tobytes()
+
+
+def kernel_ellipses(rng: np.random.Generator, n: int):
+    """Random, near-tangent, hard-case and log-scaled ellipses, 4n lanes, a1 >= a2 >= 0.
+
+    Built with arithmetic and ``ldexp`` only (no ``**``, whose rounding is
+    the platform's), so every platform gets the same input bits.
+    """
+    random = random_ellipses(rng, n)
+    # osculating the unit circle at (0, 1), as in tangent_ellipses, with s1 down to 2^-990
+    a1 = rng.uniform(0.05, 0.95, n)
+    a2 = a1 * a1 * (1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-6, -1e-6], n))
+    tangent = a1, a2, np.ldexp((1.0 - a1) * rng.uniform(-1.0, 1.0, n), rng.integers(-990, 1, n)), 1.0 - a2
+    a1 = rng.uniform(0.0, 1.0, n)
+    hard = a1, 0.5 * a1, np.zeros(n), (1.0 - 0.5 * a1) * rng.uniform(-1.0, 1.0, n)  # b1 = 0, mostly b2 < d
+    scale = np.ldexp(1.0, rng.integers(-40, 41, n))
+    log_scaled = tuple(part * scale for part in random_ellipses(rng, n))
+    return tuple(np.concatenate(parts) for parts in zip(random, tangent, hard, log_scaled))
+
+
+def kernel_outputs(a1, a2, s1, s2, lam2, xp) -> dict:
+    """The peak-norm kernel's outputs and decide's verdicts, on arrays (``xp`` numpy) or one lane (FLOATS)."""
+    return {
+        "peak_norm": (_peak_norm(s1, s2, a1, a2, xp),),
+        "bracket": _peak_bracket(s1, s2, a1, a2, xp, BRACKET_STEPS),
+        "bracket_newton": _peak_bracket(s1, s2, a1, a2, xp, NEWTON_STEPS),
+        "decide": (decide(a1, lam2, s1, s2, xp, 0.0)[0], decide(a1, lam2, s1, s2, xp, CP_TOL)[0]),
+    }
+
+
+# md5 of kernel_outputs on kernel_ellipses(default_rng(83), 2000); the kernels use
+# only + - * /, sqrt, maximum and where, which round alike on every platform
+KERNEL_MD5 = {
+    "peak_norm": "b789aae783c22328b6def77b01315015",
+    "bracket": "9c4a777157cee1ae445ea36cf7c8db00",
+    "bracket_newton": "8167a0145a7c986f07140b50b815d821",
+    "decide": "68036b9e4465004b386bae1ca78cf473",
+}
+
+
+def test_peak_kernel_bits_are_pinned_on_floats_and_arrays():
+    a1, a2, s1, s2 = kernel_ellipses(np.random.default_rng(83), 2000)
+    lam2 = np.where(np.arange(len(a1)) % 2 == 0, a2, -a2)
+    outputs = kernel_outputs(a1, a2, s1, s2, lam2, np)
+    assert {name: hashlib.md5(np.stack(out).tobytes()).hexdigest() for name, out in outputs.items()} == KERNEL_MD5
+    lanes = range(0, len(a1), 4)
+    scalar = [kernel_outputs(*(x[i].item() for x in (a1, a2, s1, s2, lam2)), FLOATS) for i in lanes]
+    for name, out in outputs.items():
+        assert np.array([lane[name] for lane in scalar]).T.tobytes() == np.stack(out)[:, lanes].tobytes()
+    # every step count brackets the peak norm
+    peak2 = outputs["peak_norm"][0] ** 2
+    for steps in range(NEWTON_STEPS + 1):
+        lower, upper = _peak_bracket(s1, s2, a1, a2, np, steps)
+        assert (lower <= upper * (1.0 + 1e-12)).all() and (peak2 <= upper * (1.0 + 1e-12)).all()
 
 
 def scalar_decision(lam1, lam2, s1, s2) -> list[bool]:
