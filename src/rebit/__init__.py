@@ -16,7 +16,7 @@ from .bloch import (
     is_valid_state,
     state_polar,
 )
-from .canonical import CanonicalForm, canonical_decompose, decompose_channel, reconstruct
+from .canonical import CanonicalForm, decompose_channel, reconstruct
 from .channel import (
     AffineChannel,
     NotPositiveError,
@@ -33,13 +33,11 @@ from .classify import (
     Depolarizing,
     General,
     Identity,
-    ImageEllipse,
     Linear,
     NotCompletelyPositiveError,
     PhaseFlip,
     classify,
     ellipse_peak_norm,
-    image_ellipse,
     kraus_rank,
     sample_cp_channel,
     sample_cp_channels,
@@ -47,14 +45,12 @@ from .classify import (
 from .cp import (
     CpReport,
     admissible_pentagon,
-    charpoly_coeffs,
     chi_matrix,
     diagonal_frame,
     is_cp,
     q_values,
-    shift_region_contains,
 )
-from .linalg import eig_sym3, rotation_matrix, svd2
+from .linalg import eig_sym3, rotation_matrix
 from .verify import VerifyReport, run_verify
 
 __version__ = "0.1.0"
@@ -68,7 +64,6 @@ __all__ = [
     "Depolarizing",
     "General",
     "Identity",
-    "ImageEllipse",
     "InvalidStateError",
     "Linear",
     "NotCompletelyPositiveError",
@@ -83,8 +78,6 @@ __all__ = [
     "apply",
     "as_affine",
     "bloch_from_density",
-    "canonical_decompose",
-    "charpoly_coeffs",
     "chi_matrix",
     "classify",
     "compose",
@@ -93,7 +86,6 @@ __all__ = [
     "diagonal_frame",
     "eig_sym3",
     "ellipse_peak_norm",
-    "image_ellipse",
     "is_cp",
     "is_unital",
     "is_valid_state",
@@ -105,7 +97,5 @@ __all__ = [
     "run_verify",
     "sample_cp_channel",
     "sample_cp_channels",
-    "shift_region_contains",
     "state_polar",
-    "svd2",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .canonical import decompose_channel, rebuild
 from .channel import AffineChannel, _frozen_array
-from .cp import CpReport, canonical_frame, canonical_scales, decide, is_cp, pentagon_verdict
+from .cp import CpReport, canonical_frame, canonical_scales, closed_form_verdict, decide, is_cp
 from .linalg import FLOATS, TAU, _peak_norm
 
 CLASS_TOL = 1e-9
@@ -88,10 +88,10 @@ def kraus_rank(channel: AffineChannel) -> int:
 
 def classify(channel: AffineChannel) -> ChannelClass:
     """Match the channel against the named families, CP maps only."""
-    return classify_report(channel, is_cp(channel))
+    return classify_report(is_cp(channel))
 
 
-def classify_report(channel: AffineChannel, report: CpReport) -> ChannelClass:
+def classify_report(report: CpReport) -> ChannelClass:
     """:func:`classify` with the channel's :func:`is_cp` report, whose frame and rank it reads."""
     if not report.is_cp:
         raise NotCompletelyPositiveError(report)
@@ -223,7 +223,7 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     pairs = count * (UNITAL_PAIRS_PER_CHANNEL if unital else PAIRS_PER_CHANNEL) + 2
     u = rng.random((pairs, 2))
     lam1, lam2 = _uniform(-1.0, 1.0, u).T
-    in_pentagon, _ = pentagon_verdict(lam1, lam2, 0.0)
+    in_pentagon = closed_form_verdict(lam1, lam2, 0.0, 0.0, 0.0)[0]  # at zero shift: the unital pentagon
     starts = np.flatnonzero(in_pentagon[:-1])  # the pair after a start must be in the block
     # the dressing angles restore what the fold leaves out: axis swaps and sign pairs are rotations
     hi, lo = canonical_scales(lam1[starts], lam2[starts], np)

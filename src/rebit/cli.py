@@ -83,7 +83,7 @@ def cmd_classify(args, channel: AffineChannel) -> int:
     if not report.is_cp:
         _print_json(report.to_json_dict())
         return EXIT_NOT_CP
-    doc = classify_report(channel, report).to_json_dict()
+    doc = classify_report(report).to_json_dict()
     doc["kraus_rank"] = report.kraus_rank
     _print_json(doc)
     return EXIT_OK

@@ -74,7 +74,7 @@ def charpoly_coeffs(lam1: float, lam2: float, w1: float = 0.0, w2: float = 0.0) 
     three being nonnegative certifies, through the sign pattern of the
     characteristic cubic, that no eigenvalue of chi is negative.
     """
-    _, margin = shift_region_contains(lam1, lam2, w1, w2)
+    _, _, margin = closed_form_verdict(lam1, lam2, w1, w2)
     return _charpoly_from_margin(lam1, lam2, w1, w2, margin)
 
 
@@ -92,29 +92,18 @@ def shift_region_contains(lam1: float, lam2: float, w1: float, w2: float) -> tup
     return margin >= -CP_TOL, margin
 
 
-def pentagon_verdict(lam1, lam2, tol=CP_TOL) -> tuple:
-    """Whether the scales lie in the unital admissible pentagon: (verdict, q).
-
-    The q-values may fall ``tol`` below 0.  With ``tol`` 0 this is
-    :func:`closed_form_verdict` at zero shift, whose margin 8 q0 q1 q2 is then
-    nonnegative wherever the q-values are.  Array arguments give elementwise
-    verdicts.
-    """
-    q0, q1, q2 = q = q_values(lam1, lam2)
-    return (q0 >= -tol) & (q1 >= -tol) & (q2 >= -tol), q
-
-
 def closed_form_verdict(lam1, lam2, w1, w2, tol=CP_TOL) -> tuple:
     """Closed-form CP verdict at diagonal coefficients: (verdict, q, margin).
 
     margin = 8 q0 q1 q2 - w1^2 (1-lam1+lam2) - w2^2 (1+lam1-lam2), which is
-    8 det(chi).  The q-values and the margin may fall ``tol`` below 0.  Array
+    8 det(chi).  The q-values and the margin may fall ``tol`` below 0.  At
+    zero shift and ``tol`` 0 the margin 8 q0 q1 q2 is nonnegative wherever the
+    q-values are, so the verdict is the unital admissible pentagon.  Array
     arguments give elementwise verdicts; Python floats give a ``bool``.
     """
-    verdict, q = pentagon_verdict(lam1, lam2, tol)
-    q0, q1, q2 = q
+    q0, q1, q2 = q = q_values(lam1, lam2)
     margin = 8.0 * q0 * q1 * q2 - w1 * w1 * (2.0 * q2) - w2 * w2 * (2.0 * q1)
-    return verdict & (margin >= -tol), q, margin
+    return (q0 >= -tol) & (q1 >= -tol) & (q2 >= -tol) & (margin >= -tol), q, margin
 
 
 def canonical_scales(lam1, lam2, xp):

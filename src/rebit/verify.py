@@ -25,7 +25,7 @@ CHUNK = 8192  # points per array evaluation in every sweep but the double-angle 
 # The grid, random and round-trip sweeps evaluate CHUNK points at a time, and
 # random points are drawn chunk by chunk from one generator (the same stream
 # as one up-front draw), so their memory stays flat in their size (tracemalloc
-# peaks: 1.5 MiB random, 1.9 MiB round trip).  Their time does not: a grid
+# peaks: 0.9 MiB grid, 1.4 MiB random, 1.6 MiB round trip).  Their time does not: a grid
 # point costs about 0.07 us, a random point 0.2 us and a round trip 0.4 us
 # (best of 3, Python 3.11, numpy 2.4, one core of an x86-64 Xeon VM whose
 # speed drifts by up to 2x).  These limits keep the largest run near 0.45 s

@@ -205,6 +205,47 @@ def test_closed_form_verdict_types():
         assert closed_form_verdict(*point)[0] and not closed_form_verdict(*point, 0.0)[0]
 
 
+def pentagon_edge_pairs() -> np.ndarray:
+    """Scale pairs (lam1, lam2) on the unital admissible pentagon's vertices and edges, one per row."""
+    t = np.arange(-128, 129) / 64.0  # exact dyadic steps over [-2, 2], so each edge's q-value is exactly 0
+    return np.concatenate(
+        [
+            np.array(admissible_pentagon()),
+            np.stack([t, -1.0 - t], axis=1),  # q0 = 0
+            np.stack([t, t + 1.0], axis=1),  # q1 = 0
+            np.stack([t, t - 1.0], axis=1),  # q2 = 0
+            np.array([(a, b) for a in (0.0, -0.0, 1.0, -1.0) for b in (0.0, -0.0, 1.0, -1.0)]),
+            np.random.default_rng(36).uniform(-1.0, 1.0, (1_000, 2)),
+        ]
+    )
+
+
+def pentagon_mask(lam1, lam2):
+    q0, q1, q2 = q_values(lam1, lam2)
+    return (q0 >= 0.0) & (q1 >= 0.0) & (q2 >= 0.0)
+
+
+def test_closed_form_at_zero_shift_is_the_pentagon():
+    # the sampler's pentagon mask: at zero shift the margin 8 q0 q1 q2 adds nothing to the q-values
+    lam1, lam2 = pentagon_edge_pairs().T
+    assert min((q == 0.0).sum() for q in q_values(lam1, lam2)) >= 257  # every edge point, exactly
+    expected = pentagon_mask(lam1, lam2)
+    assert 0 < expected.sum() < len(expected)
+    assert closed_form_verdict(lam1, lam2, 0.0, 0.0, 0.0)[0].tolist() == expected.tolist()
+    floats = [closed_form_verdict(l1, l2, 0.0, 0.0, 0.0)[0] for l1, l2 in zip(lam1.tolist(), lam2.tolist())]
+    assert all(type(verdict) is bool for verdict in floats)
+    assert floats == expected.tolist()
+    # the array path alone on the 201^2 grid and 10^5 random pairs; the float path above shares its formula
+    grid = np.linspace(-1.0, 1.0, 201)
+    lam1, lam2 = np.concatenate(
+        [
+            np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
+            np.random.default_rng(37).uniform(-1.0, 1.0, (100_000, 2)),
+        ]
+    ).T
+    assert np.array_equal(closed_form_verdict(lam1, lam2, 0.0, 0.0, 0.0)[0], pentagon_mask(lam1, lam2))
+
+
 def test_diagonal_frame_literal_for_diagonal_channels():
     assert diagonal_frame(DIAG(-1.0, 0.0)) == (-1.0, 0.0, 0.0, 0.0)
     assert diagonal_frame(DIAG(0.3, -0.7, 0.1, 0.0)) == (0.3, -0.7, 0.1, 0.0)

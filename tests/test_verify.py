@@ -11,7 +11,7 @@ import rebit.verify as verify
 from rebit.bloch import density_from_bloch
 from rebit.canonical import decompose_channel, factorize, reconstruction_residual
 from rebit.channel import AffineChannel, OrthogonalChannel, orthogonal_channel
-from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict, pentagon_verdict, q_values
+from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict, q_values
 from rebit.linalg import eig_sym3, jacobi_batch, rotation_matrix
 from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, roundtrip_sweep, run_verify, unital_grid_sweep
 
@@ -299,9 +299,9 @@ def wrong_closed_form(margin_of):
     """closed_form_verdict with its margin computed by ``margin_of(q0, q1, q2, w1, w2)``."""
 
     def closed_form(lam1, lam2, w1, w2, tol=CP_TOL):
-        inside, (q0, q1, q2) = pentagon_verdict(lam1, lam2, tol)
+        q0, q1, q2 = q = q_values(lam1, lam2)
         margin = margin_of(q0, q1, q2, w1, w2)
-        return inside & (margin >= -tol), (q0, q1, q2), margin
+        return (q0 >= -tol) & (q1 >= -tol) & (q2 >= -tol) & (margin >= -tol), q, margin
 
     return closed_form
 
