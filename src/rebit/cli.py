@@ -3,7 +3,9 @@
 Commands print a single JSON document to stdout (or write an SVG file) and
 send diagnostics to stderr.  Exit codes are stable across commands:
 0 success / completely positive, 2 well-formed input that fails the
-positivity gate, 1 malformed input or system error.
+positivity gate, 1 malformed input, usage error or system error.  A report
+field that overflows the float range prints as ``null``, since strict JSON
+has no ``Infinity`` or ``NaN``.
 """
 
 import argparse
@@ -30,26 +32,12 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _channel_command(command):
-    """Load the channel file ``args.channel`` for ``command``; only load errors exit 1.
-
-    ``RecursionError`` is a load error too: ``json.load`` raises it on arrays
-    nested deeper than the interpreter's recursion limit.
-    """
-
-    def run(args) -> int:
-        try:
-            with open(args.channel, "r", encoding="utf-8") as handle:
-                channel = AffineChannel.from_json_dict(json.load(handle))
-        except (OSError, ValueError, RecursionError) as exc:
-            return _fail(str(exc))
-        return command(args, channel)
-
-    return run
-
-
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # a field overflowed: strict JSON has no Infinity or NaN, so it prints as null
+        text = json.dumps(json.loads(json.dumps(doc), parse_constant=lambda _: None), indent=2)
+    print(text)
 
 
 def _write_file(path: str, content: str) -> int:
@@ -61,25 +49,22 @@ def _write_file(path: str, content: str) -> int:
     return EXIT_OK
 
 
-@_channel_command
-def cmd_check(args, channel: AffineChannel) -> int:
-    report = is_cp(channel)
+def cmd_check(args) -> int:
+    report = is_cp(args.channel)
     _print_json(report.to_json_dict())
     return EXIT_OK if report.is_cp else EXIT_NOT_CP
 
 
-@_channel_command
-def cmd_decompose(args, channel: AffineChannel) -> int:
-    form = decompose_channel(channel)
+def cmd_decompose(args) -> int:
+    form = decompose_channel(args.channel)
     doc = form.to_json_dict()
-    doc["residual"] = reconstruction_residual(channel, form)
+    doc["residual"] = reconstruction_residual(args.channel, form)
     _print_json(doc)
     return EXIT_OK
 
 
-@_channel_command
-def cmd_classify(args, channel: AffineChannel) -> int:
-    report = is_cp(channel)
+def cmd_classify(args) -> int:
+    report = is_cp(args.channel)
     if not report.is_cp:
         _print_json(report.to_json_dict())
         return EXIT_NOT_CP
@@ -89,9 +74,8 @@ def cmd_classify(args, channel: AffineChannel) -> int:
     return EXIT_OK
 
 
-@_channel_command
-def cmd_image(args, channel: AffineChannel) -> int:
-    return _write_file(args.output, disk_figure_svg(channel))
+def cmd_image(args) -> int:
+    return _write_file(args.output, disk_figure_svg(args.channel))
 
 
 def cmd_region(args) -> int:
@@ -122,49 +106,46 @@ def build_parser() -> argparse.ArgumentParser:
         "factorization, taxonomy and Bloch-disk figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="complete-positivity report for a channel file")
-    p.add_argument("channel", help="path to a channel JSON document")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("decompose", help="canonical rotation-diagonal-rotation form")
-    p.add_argument("channel")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("classify", help="taxonomy family and Kraus rank (CP channels only)")
-    p.add_argument("channel")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("image", help="render the image of the Bloch disk as SVG")
-    p.add_argument("channel")
-    p.add_argument("-o", "--output", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_image)
-
-    p = sub.add_parser("region", help="render the admissibility pentagon as SVG")
-    p.add_argument("-o", "--output", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("sample", help="emit random CP channels as JSON lines")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unital", action="store_true", help="sample zero-shift channels")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("verify", help="closed-form vs oracle verification sweeps")
-    p.add_argument("--grid-step", type=float, default=0.01)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
+    p = {}
+    for name, func, text in (
+        ("check", cmd_check, "complete-positivity report for a channel file"),
+        ("decompose", cmd_decompose, "canonical rotation-diagonal-rotation form"),
+        ("classify", cmd_classify, "taxonomy family and Kraus rank (CP channels only)"),
+        ("image", cmd_image, "render the image of the Bloch disk as SVG"),
+        ("region", cmd_region, "render the admissibility pentagon as SVG"),
+        ("sample", cmd_sample, "emit random CP channels as JSON lines"),
+        ("verify", cmd_verify, "closed-form vs oracle verification sweeps"),
+    ):
+        p[name] = sub.add_parser(name, help=text)
+        p[name].set_defaults(func=func)
+    for name in ("check", "decompose", "classify", "image"):
+        p[name].add_argument("channel", help="path to a channel JSON document")
+    for name in ("image", "region"):
+        p[name].add_argument("-o", "--output", required=True, help="output SVG path")
+    p["sample"].add_argument("--count", type=int, default=1)
+    p["sample"].add_argument("--seed", type=int, default=0)
+    p["sample"].add_argument("--unital", action="store_true", help="sample zero-shift channels")
+    p["verify"].add_argument("--grid-step", type=float, default=0.01)
+    p["verify"].add_argument("--samples", type=int, default=100_000)
+    p["verify"].add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help (code 0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     if getattr(args, "count", 1) < 1:
         return _fail("count must be at least 1")
     if getattr(args, "seed", 0) < 0:
         return _fail("seed must be non-negative")
+    if "channel" in args:
+        try:  # only load errors exit 1; the command's own errors propagate
+            with open(args.channel, "r", encoding="utf-8") as handle:
+                args.channel = AffineChannel.from_json_dict(json.load(handle))
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+            return _fail(str(exc))
     return args.func(args)
 
 

@@ -274,3 +274,12 @@ def test_entries_near_1e200_still_raise():
         decompose_channel(channel)
     with pytest.raises(ValueError, match="rotation angle must be finite"):
         canonical_decompose(channel.a)
+
+
+def test_shift_past_the_largest_float_in_the_canonical_frame_still_raises():
+    # |w| is about 2.4e308, so the shift turned into the canonical frame overflows
+    channel = AffineChannel(np.array([[0.5, 0.1], [0.2, 0.3]]), np.array([1.7e308, 1.7e308]))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        decompose_channel(channel)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        is_cp(channel)

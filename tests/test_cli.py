@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rebit.classify import sample_cp_channels
 from rebit.cli import main
@@ -41,6 +43,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def strict_json(text: str):
+    return json.loads(text, parse_constant=refuse_constant)
 
 
 def check_golden(name: str, produced: str):
@@ -135,20 +145,61 @@ def test_classify_refuses_non_cp_with_report(tmp_path, capsys):
     assert json.loads(out)["is_cp"] is False
 
 
+FAR_CHANNELS = [  # (document, the report fields that overflow and print as null)
+    ({"A": [[0.5, 0], [0, 0.5]], "w": [0, 1e30]}, set()),
+    ({"A": [[1e30, 0], [0, 1e30]], "w": [-1e30, 1e154]}, set()),
+    ({"A": [[1e308, 0], [0, 1e308]], "w": [0, 0]}, {"q0", "a", "b", "det_chi", "margin"}),  # chi overflows
+    ({"A": [[-1.7e308, 0], [0, 1e308]], "w": [1e308, -1.7e308]}, {"q1", "q2", "b", "det_chi", "margin"}),
+    ({"A": [[0.5, 0], [0, 0.5]], "w": [1e308, 1e308]}, {"b", "det_chi", "margin"}),
+]
+
+
 @pytest.mark.parametrize("command", ["check", "classify"])
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"A": [[0.5, 0], [0, 0.5]], "w": [0, 1e30]},
-        {"A": [[1e30, 0], [0, 1e30]], "w": [-1e30, 1e154]},
-        {"A": [[1e308, 0], [0, 1e308]], "w": [0, 0]},  # diagonal: chi's entries overflow to inf
-        {"A": [[-1.7e308, 0], [0, 1e308]], "w": [1e308, -1.7e308]},
-    ],
-)
-def test_far_finite_channels_exit_two_with_a_report(tmp_path, capsys, command, doc):
+@pytest.mark.parametrize("doc, nulls", FAR_CHANNELS, ids=[f"doc{i}" for i in range(len(FAR_CHANNELS))])
+def test_far_finite_channels_exit_two_with_a_report(tmp_path, capsys, command, doc, nulls):
     code, out, _ = run_cli(capsys, command, write_channel(tmp_path, doc))
     assert code == 2
-    assert json.loads(out)["is_cp"] is False
+    report = strict_json(out)
+    assert report["is_cp"] is False
+    q = report.pop("q")
+    fields = dict(report, q0=q[0], q1=q[1], q2=q[2])
+    assert {name for name, value in fields.items() if value is None} == nulls
+
+
+def magnitudes(top: float):
+    """Log-uniform magnitudes from 1e-300 up to 10**top with random signs, and signed zeros."""
+    scaled = st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([1.0, -1.0]), st.floats(-300, top))
+    return st.one_of(st.sampled_from([0.0, -0.0]), scaled)
+
+
+SHIFTS = st.lists(magnitudes(307), min_size=2, max_size=2)
+FAR_DOCUMENTS = st.one_of(
+    # past about 1e154 a general A's A^t A overflows; that raise is pinned in test_canonical.py
+    st.builds(lambda a, w: {"A": [a[:2], a[2:]], "w": w}, st.lists(magnitudes(150), min_size=4, max_size=4), SHIFTS),
+    st.builds(lambda d0, d1, w: {"A": [[d0, 0.0], [0.0, d1]], "w": w}, magnitudes(308), magnitudes(308), SHIFTS),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(FAR_DOCUMENTS)
+def test_check_and_classify_answer_far_channels_in_strict_json(tmp_path, capsys, doc):
+    path = write_channel(tmp_path, doc)
+    for command in ("check", "classify"):
+        code, out, _ = run_cli(capsys, command, path)
+        assert code in (0, 2)
+        strict_json(out)
+
+
+@pytest.mark.parametrize("argv", [["check"], ["sample", "--count", "abc"], ["nope"], []])
+def test_usage_errors_exit_one(capsys, argv):
+    # argparse's own code is 2, which would read as "not CP"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "usage: rebit" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: rebit")
 
 
 def test_input_errors_exit_one(tmp_path, capsys):
