@@ -79,8 +79,7 @@ class AffineChannel:
         return cls(np.diag([lam1, lam2]), np.array([w1, w2]))
 
     def to_json_dict(self) -> dict:
-        return {"A": [[self.a[0, 0], self.a[0, 1]], [self.a[1, 0], self.a[1, 1]]],
-                "w": [self.w[0], self.w[1]]}
+        return {"A": self.a.tolist(), "w": self.w.tolist()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AffineChannel":

@@ -153,9 +153,11 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early (``rebit sample ... | head``); point
-        # stdout at devnull so the flush at exit does not raise again
+    except OSError as exc:
+        # a write to stdout failed: silent if the reader left early (``rebit sample ... | head``);
+        # stdout then points at devnull, so the flush at exit does not raise again
+        if not isinstance(exc, BrokenPipeError):
+            _fail(str(exc))
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(EXIT_INPUT)
     sys.exit(code)

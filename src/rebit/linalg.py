@@ -30,20 +30,11 @@ def _where(cond, if_true, if_false):
     return if_true if cond else if_false
 
 
-# numpy's names bound to their math and builtin counterparts.  On finite inputs arithmetic, abs, sqrt,
-# copysign, maximum, minimum and where round alike on both, so a kernel that uses only those (the
-# Jacobi, the peak norm, the canonical fold of rebit.cp) gives a lane the same bits with FLOATS as
-# with numpy.  arctan2 and hypot do not: on 10^6 uniform pairs in [-1, 1]^2, numpy 2.4 dispatching
-# AVX-512 on x86-64 is 1 ulp off math on 7.7 % of pairs for arctan2 and 0.6 % for hypot, while cos and
-# sin matched on every angle tried; the rates depend on numpy's build and the CPU.  factorize's float
-# path takes math's; rotation_matrix takes numpy's on every path.
+# numpy's names bound to math and builtins that round alike on finite inputs, so a kernel taking xp gives a lane
+# the same bits with FLOATS as with numpy.  arctan2, hypot, cos and sin do not: kernels call numpy's on every path.
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
     copysign=math.copysign,
-    arctan2=math.atan2,
-    hypot=math.hypot,
-    cos=math.cos,
-    sin=math.sin,
     maximum=max,
     minimum=min,
     all=bool,

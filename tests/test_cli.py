@@ -294,6 +294,25 @@ def test_sample_into_a_closed_pipe_exits_one_without_a_traceback():
     proc.stderr.close()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["check", "CHANNEL"], ["sample", "--count", "3"], ["verify", "--samples", "10"]])
+def test_a_full_stdout_exits_one_with_one_error_line(tmp_path, argv):
+    # as in `rebit check c.json > /dev/full`: the write fails for want of space
+    channel = write_channel(tmp_path, NAMED_CHANNELS["phase_flip_vertical"])
+    path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rebit.cli", *(channel if arg == "CHANNEL" else arg for arg in argv)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+
 def test_import_leaves_numpy_random_unloaded():
     # only sampling draws random numbers; check, classify, decompose and image never load it
     path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))

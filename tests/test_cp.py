@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rebit.bloch import SIGMA_0, SIGMA_1, SIGMA_2
 from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel
 from rebit.classify import ellipse_peak_norm
-from rebit.canonical import decompose_channel
+from rebit.canonical import decompose_channel, factorize
 from rebit.cp import (
     CP_TOL,
     DIAGONAL_TOL,
@@ -244,6 +244,48 @@ def test_closed_form_at_zero_shift_is_the_pentagon():
         ]
     ).T
     assert np.array_equal(closed_form_verdict(lam1, lam2, 0.0, 0.0, 0.0)[0], pentagon_mask(lam1, lam2))
+
+
+def conformal_split(a) -> tuple[float, float]:
+    """(Q, R) = (|alpha|, |beta|) of A acting on the disk as alpha z + beta conj(z); sigma1 = Q + R, sigma2 = |Q - R|."""
+    (a00, a01), (a10, a11) = a
+    return 0.5 * math.hypot(a00 + a11, a10 - a01), 0.5 * math.hypot(a00 - a11, a10 + a01)
+
+
+def from_conformal_split(alpha: complex, beta: complex) -> np.ndarray:
+    """The A whose split is (alpha, beta): exact on dyadic parts."""
+    return np.array([[alpha.real + beta.real, beta.imag - alpha.imag], [alpha.imag + beta.imag, alpha.real - beta.real]])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_a_unital_channel_is_cp_iff_q_plus_r_at_most_one_and_r_at_most_half(entries):
+    # lam1 = Q + R is the peak norm and q2 = 1/2 - R in either sign of det A, so these two rims bound the set
+    a = np.reshape(entries, (2, 2))
+    q, r = conformal_split(a)
+    assume(abs(q + r - 1.0) > 1e-8 and abs(r - 0.5) > 1e-8)
+    assert is_cp(AffineChannel(a, np.zeros(2))).is_cp == (q + r <= 1.0 and r <= 0.5)
+
+
+# (alpha, beta) on the rims Q + R = 1 and R = 1/2, dressed by dyadic phases; beta is real or imaginary
+UNITAL_RIM = [
+    ((3 + 4j) / 8, 3 / 8),  # Q + R = 1
+    (0.75, 0.25j),
+    (0.5j, -0.5),  # the corner Q = R = 1/2
+    (1j, 0.0),  # a quarter turn
+    ((3 + 4j) / 32, 0.5),  # R = 1/2
+    (-0.25, -0.5j),
+]
+
+
+@pytest.mark.parametrize("alpha, beta", UNITAL_RIM)
+def test_the_unital_rule_on_exact_rim_points(alpha, beta):
+    step = 2.0**-20 * (beta / abs(beta) if beta else 1.0)  # exact: beta is real or imaginary
+    for b, expected in ((beta, True), (beta + step, False)):
+        a = from_conformal_split(alpha, b)
+        q, r = conformal_split(a)
+        assert r == abs(b) and (q + r == 1.0 or r == 0.5) == (b == beta)
+        assert is_cp(AffineChannel(a, np.zeros(2))).is_cp is expected
 
 
 def test_diagonal_frame_literal_for_diagonal_channels():
@@ -484,6 +526,19 @@ def test_decide_gives_floats_and_arrays_the_same_bits():
         assert 0 < verdicts.sum() < len(frames)
         assert np.stack(q, axis=1).tobytes() == np.array([lane_q for _, lane_q, _ in lanes]).tobytes()
         assert margin.tobytes() == np.array([lane_margin for _, _, lane_margin in lanes]).tobytes()
+
+
+def test_is_cp_decides_a_channel_as_its_row_in_the_array_pipeline():
+    # the float factorization rounds as the array one does, so a dressed channel's report has its row's bits
+    rng = np.random.default_rng(63)
+    a, w = rng.uniform(-1.0, 1.0, (10_000, 2, 2)), rng.uniform(-0.5, 0.5, (10_000, 2))
+    assert np.all(np.abs(a[:, [0, 1], [1, 0]]) > DIAGONAL_TOL)  # every channel goes through the factorization
+    verdicts, q, margin = decide(*canonical_frame(*factorize(*a.reshape(-1, 4).T, *w.T, np)[2:], np), np)
+    reports = [is_cp(AffineChannel(x, y)) for x, y in zip(a, w)]
+    assert [report.is_cp for report in reports] == verdicts.tolist()
+    assert 0 < verdicts.sum() < len(reports)
+    assert np.array([report.q for report in reports]).tobytes() == np.stack(q, axis=1).tobytes()
+    assert np.array([report.margin for report in reports]).tobytes() == margin.tobytes()
 
 
 FAR_FRAMES = [
