@@ -287,6 +287,12 @@ def sample_cp_channels(rng: np.random.Generator, count: int, unital: bool = Fals
     ``rng.uniform(low, high)`` is ``low + (high - low) * u``, so the channels
     and the generator's final state are those of ``count`` single draws:
     ``count`` calls with count 1 give the same stream as one call.
+
+    The law: (lam1, lam2) uniform on the pentagon, by rejection from the
+    square [-1, 1]^2, then folded onto lam1 >= |lam2| by the pentagon's own
+    symmetries; given them, the canonical shift uniform on its admissible
+    set, by rejection from the box |s_i| <= 1 - |lam_i|; the two dressing
+    angles uniform.  This is not Lebesgue measure on (A, w).
     """
     a, w = np.empty((max(count, 0), 2, 2)), np.empty((max(count, 0), 2))
     done = 0

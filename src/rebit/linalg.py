@@ -1,10 +1,11 @@
-"""Fixed-size numeric kernels: 2x2 rotations and SVD, symmetric 3x3 eigenvalues, ellipse peak norms.
+"""Fixed-size numeric kernels: 2x2 rotations, symmetric 3x3 eigenvalues, ellipse peak norms.
 
-Everything here is closed-form or a tiny fixed iteration, deliberately
-self-contained so the rest of the package can use it as an independent
-numerical oracle.  A kernel that runs on both Python floats and numpy
-arrays takes ``xp``: :data:`FLOATS` for floats, the ``numpy`` module for
-arrays, elementwise.
+Everything here is closed-form or a tiny fixed iteration.  The Jacobi
+eigenvalues share no derivation with the CP closed form, so ``verify`` uses
+them as its oracle; :func:`svd2` only reads the canonical factorization,
+which the tests check against LAPACK.  A kernel that runs on both Python
+floats and numpy arrays takes ``xp``: :data:`FLOATS` for floats, the
+``numpy`` module for arrays, elementwise.
 """
 
 import math
@@ -59,47 +60,20 @@ def rotation_matrix(theta) -> np.ndarray:
     return r
 
 
-def _check_finite_2x2(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
 def svd2(a: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Closed-form SVD of a real 2x2 matrix: a = o1 @ diag(s1, s2) @ o2.T.
+    """SVD of a real 2x2 matrix, a = o1 @ diag(s1, s2) @ o2.T, read off :func:`rebit.canonical.canonical_decompose`.
 
-    Returns (o1, s1, s2, o2) with s1 >= s2 >= 0, o2 always a rotation and any
-    reflection absorbed into o1.  The right factor comes from the exact
-    eigen-rotation of a.T @ a, the left factor from the images of its columns,
-    so both factors are orthogonal by construction.  The zero matrix yields
-    identity factors.  The package factors channels with
-    :func:`rebit.canonical.factorize`; the tests keep this function as a
-    reference for it.
+    Returns (o1, s1, s2, o2) with (s1, s2) = (lam1, |lam2|), o1 = rot(theta1)
+    @ diag(1, sign lam2), so any reflection sits in o1 (-0.0 counts as
+    positive), and o2 = rot(theta2).T, always a rotation.  The zero matrix
+    yields identity factors; a non-finite entry raises ValueError.  No src
+    path calls it.
     """
-    a = _check_finite_2x2(a)
-    ata = a.T @ a
-    p, q, r = ata[0, 0], ata[0, 1], ata[1, 1]
-    # half-angle of the Jacobi rotation diagonalizing a.T @ a, larger
-    # eigenvalue first; exact ties (q = 0, p = r) give theta = 0, i.e. o2 = I
-    theta = 0.5 * math.atan2(2.0 * q, p - r)
-    o2 = rotation_matrix(theta)
-    y1 = a @ o2[:, 0]
-    y2 = a @ o2[:, 1]
-    s1 = math.hypot(y1[0], y1[1])
-    if s1 == 0.0:
-        return np.eye(2), 0.0, 0.0, np.eye(2)
-    u1 = y1 / s1
-    u2 = np.array([-u1[1], u1[0]])
-    s2 = float(u2 @ y2)
-    if s2 < 0.0:
-        u2 = -u2
-        s2 = -s2
-    s2 = min(s2, s1)
-    o1 = np.column_stack([u1, u2])
-    return o1, s1, float(s2), o2
+    from .canonical import canonical_decompose  # canonical imports this module
+
+    theta1, (lam1, lam2), theta2 = canonical_decompose(a)
+    o1 = rotation_matrix(theta1) @ np.diag([1.0, math.copysign(1.0, lam2 + 0.0)])
+    return o1, lam1, abs(lam2), rotation_matrix(theta2).T
 
 
 def _jacobi_cs(app, aqq, apq, xp):

@@ -56,6 +56,8 @@ def test_density_from_bloch_rejects_outside_disk():
         density_from_bloch([[0.0, 0.0], [0.8, 0.8]])  # one vector of a stack is enough
     with pytest.raises(InvalidStateError):
         density_from_bloch(0.5)
+    with pytest.raises(InvalidStateError, match="must be finite"):
+        density_from_bloch([math.inf, 0.0])
 
 
 def test_density_from_bloch_of_a_stack_is_the_stack_of_states():
@@ -83,6 +85,10 @@ def test_state_polar_rejects_bad_radius():
         state_polar(1.5, 0.0)
     with pytest.raises(InvalidStateError):
         state_polar(-0.1, 0.0)
+    with pytest.raises(InvalidStateError, match="must be finite"):
+        state_polar(0.5, math.inf)
+    with pytest.raises(InvalidStateError, match="must be finite"):
+        state_polar(math.nan, 0.0)
 
 
 def test_is_valid_state_reasons():
@@ -92,6 +98,10 @@ def test_is_valid_state_reasons():
     assert not ok and "trace" in reason
     ok, reason = is_valid_state(np.array([[0.5, 0.3], [0.0, 0.5]]))
     assert not ok and "symmetric" in reason
+    ok, reason = is_valid_state(np.eye(3))
+    assert not ok and "expected a 2x2 matrix" in reason
+    ok, reason = is_valid_state(np.array([[0.5, 0.0], [0.0, math.nan]]))
+    assert not ok and "not finite" in reason
     for t in np.linspace(0.0, 2 * math.pi, 17):
         ok, _ = is_valid_state(density_from_bloch([0.7 * math.cos(t), 0.7 * math.sin(t)]))
         assert ok

@@ -239,6 +239,14 @@ def test_channel_json_rejects_unknown_and_missing_fields():
         AffineChannel.from_json_dict({"A": [[1, 0], [0, 1]], "w": [True, 0]})
     with pytest.raises(ValueError):
         AffineChannel.from_json_dict({"A": [[1, 0], [0, "0.5"]], "w": [0, 0]})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        AffineChannel.from_json_dict([1, 2])
+    with pytest.raises(ValueError, match="must be a string"):
+        AffineChannel.from_json_dict({"A": [[1, 0], [0, 1]], "w": [0, 0], "name": 3})
+    with pytest.raises(ValueError, match="not numeric"):
+        AffineChannel.from_json_dict({"A": [[1, 0], [0]], "w": [0, 0]})  # ragged
+    with pytest.raises(ValueError, match="not numeric"):
+        AffineChannel.from_json_dict({"A": [[10**400, 0], [0, 1]], "w": [0, 0]})  # beyond the largest double
     # JSON integers stay valid
     parsed = AffineChannel.from_json_dict({"A": [[1, 0], [0, 1]], "w": [0, 0]})
     assert np.array_equal(parsed.a, np.eye(2)) and np.array_equal(parsed.w, np.zeros(2))

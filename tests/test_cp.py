@@ -461,6 +461,30 @@ def test_kraus_rank_survives_a_half_turn(turned, plain):
     assert is_cp(turned).kraus_rank == is_cp(plain).kraus_rank
 
 
+# Dyadic channels, so every product and mean below is exact.  The verdict is
+# chi >= 0 in the canonical frame, which is not linear in (A, w): C2 passes
+# only after a quarter turn (its literal-frame margin is -0.263671875).
+C1 = AffineChannel.from_json_dict({"A": [[0.5, 0], [0, 0.25]], "w": [0, 0.75]})
+C2 = AffineChannel.from_json_dict({"A": [[0.375, 0], [0, -0.5]], "w": [0, 0.5]})
+C3 = AffineChannel.from_json_dict({"A": [[0.375, 0], [0, -0.125]], "w": [0.25, 0.75]})
+
+
+@pytest.mark.xfail(strict=True, reason="the canonical-frame verdict is not closed under composition or mixture")
+@pytest.mark.parametrize(
+    "first, second, combined",
+    [
+        # C1 after C2: diag(0.1875, -0.125), w = (0, 0.875), margin -0.046142578125
+        (C1, C2, compose(C1, C2)),
+        # half C2 plus half C3: diag(0.375, -0.3125), w = (0.125, 0.625), margin -0.103759765625
+        (C2, C3, AffineChannel(0.5 * (C2.a + C3.a), 0.5 * (C2.w + C3.w))),
+    ],
+    ids=["composition", "mixture"],
+)
+def test_cp_is_closed_under_composition_and_mixture(first, second, combined):
+    assert is_cp(first).is_cp and is_cp(second).is_cp
+    assert is_cp(combined).is_cp
+
+
 # The canonical fold and the decision, shared by is_cp (floats) and the
 # sampler (arrays): both must give every lane the same bits.
 
