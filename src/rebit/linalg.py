@@ -1,7 +1,8 @@
 """Fixed-size numeric kernels: 2x2 rotations, symmetric 3x3 eigenvalues, ellipse peak norms.
 
 Everything here is closed-form or a tiny fixed iteration.  The Jacobi
-eigenvalues share no derivation with the CP closed form, so ``verify`` uses
+eigenvalues, and the eigenvalue inclusion bounds that settle most points
+before them, share no derivation with the CP closed form, so ``verify`` uses
 them as its oracle; :func:`svd2` only reads the canonical factorization,
 which the tests check against LAPACK.  A kernel that runs on both Python
 floats and numpy arrays takes ``xp``: :data:`FLOATS` for floats, the
@@ -16,7 +17,7 @@ import numpy as np
 TAU = 2.0 * math.pi
 JACOBI_TOL = 1e-14  # off-diagonal size at which the Jacobi sweeps stop
 JACOBI_MAX_SWEEPS = 100
-# Band beyond a floor that jacobi_batch's eigenvalue bounds must clear to settle
+# Band beyond a floor that the eigenvalue bounds of jacobi_batch and floor_bounds must clear to settle
 # a lane, times 1 + max |a_ii| + max r_i (Gershgorin's radii): 50 times the converged
 # sweeps' distance to the spectrum (||offdiag||_2 <= max r_i < 2 JACOBI_TOL, absolute)
 # and over 1000 times the rounding of the bounds and of the sweeps (a few dozen ulps of that scale).
@@ -132,6 +133,18 @@ def eig_sym3(d00, d01, d02, d11, d12, d22) -> tuple[float, float, float]:
     return tuple(sorted((a[0], a[3], a[5]), reverse=True))
 
 
+def _radii(a01, a02, a12):
+    """Gershgorin's radii (r0, r1, r2), r_i = sum over j != i of |a_ij|."""
+    return abs(a01) + abs(a02), abs(a01) + abs(a12), abs(a02) + abs(a12)
+
+
+def _least_and_band(a00, a11, a22, r0, r1, r2):
+    """(min a_ii, FLOOR_BAND (1 + max |a_ii| + max r_i)): Rayleigh's bound and the band a bound must clear a floor by."""
+    least = np.minimum(np.minimum(a00, a11), a22)
+    band = np.maximum(np.maximum(np.maximum(a00, a11), a22), -least) + np.maximum(np.maximum(r0, r1), r2)
+    return least, FLOOR_BAND * (1.0 + band)  # the scale, max |a_ii| + max r_i, gets no name: one array less to hold
+
+
 def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     """Unsorted eigenvalues of a stack of symmetric 3x3 matrices given entrywise.
 
@@ -147,7 +160,9 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     Rayleigh's bound (lambda_min <= min a_ii) or Gershgorin's (lambda_min >=
     min over i of a_ii - r_i, r_i = sum over j != i of |a_ij|) clears the
     floor by ``FLOOR_BAND`` (1 + max |a_ii| + max r_i): its smallest diagonal
-    entry is then on the same side of the floor as the converged one.
+    entry is then on the same side of the floor as the converged one.  A
+    caller that can hold its lanes settles more of them before any sweep
+    with :func:`floor_bounds`, and sends only the open ones here.
     """
     entries = np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
     shape = entries[0].shape
@@ -157,10 +172,8 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     for _ in range(JACOBI_MAX_SWEEPS):
         stay = _live(a[1], a[2], a[4], np)
         if floor is not None and stay.any():
-            r0, r1, r2 = abs(a[1]) + abs(a[2]), abs(a[1]) + abs(a[4]), abs(a[2]) + abs(a[4])  # Gershgorin's radii
-            least = np.minimum(np.minimum(a[0], a[3]), a[5])
-            band = np.maximum(np.maximum(np.maximum(a[0], a[3]), a[5]), -least) + np.maximum(np.maximum(r0, r1), r2)
-            band = FLOOR_BAND * (1.0 + band)  # the scale, max |a_ii| + max r_i, gets no name: one array less to hold
+            r0, r1, r2 = _radii(a[1], a[2], a[4])
+            least, band = _least_and_band(a[0], a[3], a[5], r0, r1, r2)
             stay &= (least + band >= floor) & (np.minimum(np.minimum(a[0] - r0, a[3] - r1), a[5] - r2) - band < floor)
             del r0, r1, r2, least, band  # so that the sweep's temporaries do not sit on top of them
         if not stay.all():
@@ -179,6 +192,39 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     for row, x in zip(out, (a[0], a[3], a[5])):
         row[lanes] = x
     return out.reshape((3,) + shape)
+
+
+def floor_bounds(d00, d01, d02, d11, d12, d22, floor) -> tuple[np.ndarray, np.ndarray]:
+    """Which side of ``floor`` the smallest eigenvalue is on, where eigenvalue inclusion bounds settle it, before any sweep.
+
+    Takes :func:`jacobi_batch`'s six entries, floats or arrays that broadcast
+    against each other, and returns (above, open): ``above`` is True on the
+    lanes the bounds put at or above the floor, and ``open`` holds the flat
+    indices of the lanes they leave to the sweeps.  With lo and hi the floor
+    plus and minus jacobi_batch's band, FLOOR_BAND (1 + max |a_ii| + max
+    r_i), a lane is above when every a_ii > lo and every pair of rows has
+    (a_ii - lo)(a_jj - lo) >= r_i r_j: every eigenvalue lies in one of
+    Brauer's ovals of Cassini |z - a_ii| |z - a_jj| <= r_i r_j (Brauer,
+    1947), and these lie right of lo.  It is below when min a_ii < hi
+    (Rayleigh) or some 2x2 principal block has (a_ii - hi)(a_jj - hi) <
+    a_ij^2: the block's smaller eigenvalue, an upper bound on the smallest
+    by Cauchy interlacing, is then below hi.  A settled lane's side is thus
+    the converged sweeps'.  The ovals lie within the union of Gershgorin's
+    discs, so, up to a rounding at the band's edge, these bounds settle every
+    lane that jacobi_batch's settle before a sweep, and more.  A NaN entry
+    leaves its lane open.
+    """
+    shape = np.broadcast_shapes(*(np.shape(d) for d in (d00, d01, d02, d11, d12, d22)))
+    r0, r1, r2 = _radii(d01, d02, d12)
+    least, band = _least_and_band(d00, d11, d22, r0, r1, r2)
+    lo = floor + band
+    x0, x1, x2 = d00 - lo, d11 - lo, d22 - lo
+    above = (least > lo) & (x0 * x1 >= r0 * r1) & (x0 * x2 >= r0 * r2) & (x1 * x2 >= r1 * r2)
+    hi = floor - band
+    del x0, x1, x2, r0, r1, r2, lo, band  # so that the blocks' temporaries do not sit on top of them
+    y0, y1, y2 = d00 - hi, d11 - hi, d22 - hi
+    below = (least < hi) | (y0 * y1 < d01 * d01) | (y0 * y2 < d02 * d02) | (y1 * y2 < d12 * d12)
+    return np.broadcast_to(above, shape), np.flatnonzero(np.broadcast_to(~(above | below), shape))
 
 
 def _peak_norm(s1, s2, a1, a2, xp):

@@ -3,7 +3,8 @@
 The sweeps here back both the ``verify`` CLI command and the acceptance test
 suite: the closed-form complete-positivity conditions are compared against
 the sign of the smallest Jacobi eigenvalue of the chi matrix over a unital
-grid and a random four-parameter sweep, the factorization is round-tripped,
+grid and a random four-parameter sweep (where eigenvalue inclusion bounds
+settle most points' signs first), the factorization is round-tripped,
 and two analytic side facts (the determinant-implies-b implication and the
 orthogonal double-angle law) are spot checked.
 """
@@ -18,19 +19,22 @@ from .bloch import density_from_bloch
 from .canonical import factorize
 from .channel import orthogonal_channel
 from .cp import CP_TOL, _charpoly_from_margin, chi_matrix, closed_form_verdict
-from .linalg import jacobi_batch, rotation_matrix
+from .linalg import floor_bounds, jacobi_batch, rotation_matrix
 
 BOUNDARY_BAND = 1e-7
 CHUNK = 8192  # points per array evaluation in every sweep but the double-angle one
-# The grid, random and round-trip sweeps evaluate CHUNK points at a time, and
+# The grid, random and round-trip sweeps evaluate CHUNK points at a time,
 # random points are drawn chunk by chunk from one generator (the same stream
-# as one up-front draw), so their memory stays flat in their size (tracemalloc
-# peaks: 0.9 MiB grid, 1.4 MiB random, 1.6 MiB round trip).  Their time does not: a grid
-# point costs about 0.07 us, a random point 0.2 us and a round trip 0.4 us
-# (best of 3, Python 3.11, numpy 2.4, one core of an x86-64 Xeon VM whose
-# speed drifts by up to 2x).  These limits keep the largest run near 0.45 s
-# of process time, 0.26 s of grid and 0.2 s of random points; the round trip
-# is capped at 10^4 points, about 4 ms, whatever the command line asks for.
+# as one up-front draw), and the random points that the eigenvalue bounds
+# leave open go to the oracle whenever CHUNK of them are held, so memory
+# stays flat in the sweeps' size (tracemalloc peaks at the size limits: 0.9
+# MiB grid, 1.9 MiB random, 1.6 MiB round trip).  Their time does not: a grid
+# point costs about 0.06-0.09 us, a random point 0.13-0.18 us and a round
+# trip 0.35-0.5 us (best of 3, Python 3.11, numpy 2.4, one core of an x86-64
+# Xeon VM whose speed drifts by up to 2x).  These limits keep the largest run
+# near 0.3-0.5 s of process time, 0.2-0.35 s of grid and 0.13-0.18 s of
+# random points; the round trip is capped at 10^4 points, about 4 ms,
+# whatever the command line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
 ROUNDTRIP_SPAN = 2.0  # round-trip entries are drawn from [-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN]
@@ -76,18 +80,39 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
     characteristic polynomial is nonnegative (the determinant condition is
     supposed to subsume it).  Returns (samples, mismatches, excluded,
     b_violations).
+
+    :func:`floor_bounds` settles most points' oracle verdicts from the chi
+    entries alone.  The points it leaves open are held, with their closed-form
+    verdicts and boundary flags, and go to :func:`_oracle_cp` whenever CHUNK
+    of them are held and once more at the end, so that its sweeps run on full
+    arrays.
     """
     rng = np.random.default_rng(seed)
     mismatches = excluded = b_violations = 0
+    held, held_count = [], 0
+
+    def tally(differ, near):
+        nonlocal mismatches, excluded
+        mismatches += int(np.count_nonzero(differ & ~near))
+        excluded += int(np.count_nonzero(differ & near))
+
     for start in range(0, samples, CHUNK):
-        lam1, lam2, w1, w2 = rng.uniform(-1.0, 1.0, (min(CHUNK, samples - start), 4)).T
+        lam1, lam2, w1, w2 = rng.uniform(-1.0, 1.0, (min(CHUNK, samples - start), 4)).T.copy()
         closed, q, margin = closed_form_verdict(lam1, lam2, w1, w2)
         b_violations += int(np.count_nonzero(closed & (_charpoly_from_margin(lam1, lam2, w1, w2, margin)[1] < -CP_TOL)))
         near = (abs(margin) < BOUNDARY_BAND) | (np.minimum(np.minimum(abs(q[0]), abs(q[1])), abs(q[2])) < BOUNDARY_BAND)
-        del q, margin  # so that the oracle's temporaries do not sit on top of them
-        differ = closed != _oracle_cp(lam1, lam2, w1, w2)
-        excluded += int(np.count_nonzero(differ & near))
-        mismatches += int(np.count_nonzero(differ & ~near))
+        del q, margin  # so that the bounds' temporaries do not sit on top of them
+        above, open_ = floor_bounds(*chi_matrix(lam1, lam2, w1, w2), -CP_TOL)
+        differ = closed != above
+        differ[open_] = False
+        tally(differ, near)
+        held.append([x.take(open_) for x in (lam1, lam2, w1, w2, closed, near)])
+        held_count += open_.size
+        del above, open_, differ  # and the oracle's not on top of the bounds'
+        if held_count and (held_count >= CHUNK or start + CHUNK >= samples):
+            lam1, lam2, w1, w2, closed, near = map(np.concatenate, zip(*held))
+            held, held_count = [], 0
+            tally(closed != _oracle_cp(lam1, lam2, w1, w2), near)
     return samples, mismatches, excluded, b_violations
 
 

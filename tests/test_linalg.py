@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rebit.cp import CP_TOL, chi_matrix
 import rebit.linalg as linalg
-from rebit.linalg import FLOATS, eig_sym3, jacobi_batch, rotation_matrix, svd2
+from rebit.linalg import FLOATS, eig_sym3, floor_bounds, jacobi_batch, rotation_matrix, svd2
 
 
 def svd_parts(a):
@@ -214,6 +214,97 @@ def gershgorin_tight(rng, n):
     x, y, z = rng.uniform(0.05, 1.0, (3, n))
     s0, s1, s2 = rng.choice([-1.0, 1.0], (3, n))
     return [x + y, -s0 * s1 * x, -s0 * s2 * y, x + z, -s1 * s2 * z, y + z]
+
+
+def brauer_tight(rng, n):
+    """A 2x2 block [[x, s sqrt(xy)], [s sqrt(xy), y]], s = +-1, beside the diagonal entry 2: eigenvalues 0, x + y and 2.
+
+    The block's oval, (x - l)(y - l) <= r0 r1 = xy, reaches down to exactly 0,
+    the smallest eigenvalue, and so does the block's smaller eigenvalue, the
+    interlacing bound.  Where x and y differ, Gershgorin's disc reaches lower,
+    to min(x, y) - sqrt(xy) < 0, and an oval whose radii miss a term or pair
+    the wrong rows stops above or below 0.
+    """
+    x, y = rng.uniform(0.05, 1.0, (2, n))
+    b = rng.choice([-1.0, 1.0], n) * np.sqrt(x * y)
+    zero = np.zeros(n)
+    return [x, b, zero, y, zero, np.full(n, 2.0)]
+
+
+def interlacing_tight(rng, n):
+    """brauer_tight's block with its third row coupled: eigenvalues 0 and two above, every off-diagonal entry nonzero.
+
+    The coupling (a02, a12) = t (s sqrt x, sqrt y), 0.05 <= |t| <= 0.5, is
+    orthogonal to the block's null vector (sqrt y, -s sqrt x, 0), so that
+    vector stays an eigenvector for 0, the smallest eigenvalue (the rest of
+    the spectrum is positive, as 2 > t^2).  The block's smaller eigenvalue,
+    0, is then the interlacing bound and tight, while the other two blocks'
+    are positive and Rayleigh's bound, min(x, y), is far above.
+    """
+    x, b, _, y, _, wide = brauer_tight(rng, n)
+    t = rng.uniform(0.05, 0.5, n) * rng.choice([-1.0, 1.0], n)
+    return [x, b, t * np.sign(b) * np.sqrt(x), y, t * np.sqrt(y), wide]
+
+
+@pytest.mark.parametrize("scale", np.logspace(-3.0, 3.0, 7))
+def test_floor_bounds_settle_exactly_the_lanes_beyond_the_band(scale):
+    # Each family's bound is its smallest eigenvalue, so a family put at a
+    # depth of 0.25 to 10 bands from the floor, above or below, settles
+    # exactly where the depth passes 1, on its own side.  Brauer's ovals bind
+    # on gershgorin_tight and brauer_tight above the floor, and interlacing
+    # binds on brauer_tight and interlacing_tight below it; the band,
+    # FLOOR_BAND (1 + max |a_ii| + max r_i), is computed here from the full
+    # matrices.  The binding rows take each position in turn.
+    rng = np.random.default_rng(23)
+    upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    for family, sides in [(gershgorin_tight, [1.0]), (brauer_tight, [-1.0, 1.0]), (interlacing_tight, [-1.0])]:
+        for floor in (-CP_TOL * scale, 0.0, -0.5 * scale):
+            m = scale * full(family(rng, 600))
+            m[[0, 1, 2], [0, 1, 2]] += floor
+            diagonal = m[[0, 1, 2], [0, 1, 2]]
+            radii = abs(m).sum(axis=0) - abs(diagonal)
+            band = linalg.FLOOR_BAND * (1.0 + abs(diagonal).max(axis=0) + radii.max(axis=0))
+            depth = rng.choice([0.25, 0.5, 0.9, 1.1, 2.0, 10.0], 600)
+            side = rng.choice(sides, 600)
+            m[[0, 1, 2], [0, 1, 2]] += side * depth * band
+            for k in range(3):
+                p = np.roll(np.arange(3), k)
+                turned = m[p][:, p]
+                above, open_ = floor_bounds(*(turned[i, j] for i, j in upper), floor)
+                settled = np.ones(600, dtype=bool)
+                settled[open_] = False
+                assert np.array_equal(settled, depth > 1.0)
+                assert np.array_equal(above, settled & (side > 0.0))
+
+
+def test_floor_bounds_settle_every_lane_jacobi_batch_settles_before_a_sweep(monkeypatch):
+    # With one sweep allowed, a lane that jacobi_batch's Rayleigh or
+    # Gershgorin bound settles comes back with its diagonal as it went in;
+    # floor_bounds settles each of those on the same side, and many more.
+    rng = np.random.default_rng(12)
+    full, chi = map(stacked, random_matrices())
+    cases = [
+        (full, 0.0),
+        (full, -1.0),
+        (chi, -CP_TOL),
+        (at_the_floor(chi, -CP_TOL), -CP_TOL),
+        (weyl_tight(rng, 3000), 0.0),
+        (gershgorin_tight(rng, 3000), -1e-9),
+    ]
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    settled_here = settled_there = 0
+    for entries, floor in cases:
+        early = linalg.jacobi_batch(*entries, floor=floor)
+        before = (early == np.stack([entries[0], entries[3], entries[5]])).all(axis=0)
+        above, open_ = floor_bounds(*entries, floor)
+        assert not before[open_].any()
+        assert np.array_equal(above[before], early.min(axis=0)[before] >= floor)
+        settled_here += above.size - open_.size
+        settled_there += np.count_nonzero(before)
+    assert settled_here > 1.2 * settled_there
+    # Entries broadcast, and a NaN lane stays open.
+    above, open_ = floor_bounds(np.array([1.0, np.nan, -1.0]), 0.25, 0.0, 1.0, 0.0, 1.0, 0.0)
+    assert above.tolist() == [True, False, False] and open_.tolist() == [1]
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, linalg.JACOBI_MAX_SWEEPS])

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rebit.bloch import density_from_bloch
 from rebit.canonical import decompose_channel, factorize, reconstruction_residual
 from rebit.channel import AffineChannel, OrthogonalChannel, orthogonal_channel
 from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict, q_values
-from rebit.linalg import eig_sym3, jacobi_batch, rotation_matrix
+from rebit.linalg import eig_sym3, floor_bounds, jacobi_batch, rotation_matrix
 from rebit.verify import BOUNDARY_BAND, CHUNK, random_sweep, roundtrip_sweep, run_verify, unital_grid_sweep
 
 
@@ -100,6 +101,41 @@ def test_run_verify_report_does_not_depend_on_the_chunk_size(monkeypatch, chunk,
     assert report == other
 
 
+def all_open(d00, d01, d02, d11, d12, d22, floor):
+    """floor_bounds switched off: it settles no lane."""
+    size = np.broadcast(d00, d01, d02, d11, d12, d22).size
+    return np.zeros(size, dtype=bool), np.arange(size)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_verify_report_does_not_depend_on_the_bounds(monkeypatch, seed):
+    # The report with most points settled by floor_bounds and the rest held
+    # for the floored oracle equals the one where every point runs the
+    # sweeps to convergence.
+    report = run_verify(seed=seed).to_json_dict()
+    monkeypatch.setattr(verify, "floor_bounds", all_open)
+    monkeypatch.setattr(verify, "_oracle_cp", converged_oracle)
+    other = run_verify(seed=seed).to_json_dict()
+    assert report.pop("elapsed") >= 0.0 and other.pop("elapsed") >= 0.0
+    assert report == other
+
+
+def test_random_sweep_memory_stays_flat_in_its_size():
+    # The held points go to the oracle once CHUNK of them are held, so ten
+    # times the points do not hold more at once.
+    random_sweep(10_000, 1)  # numpy's first-call allocations, outside the measure
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            random_sweep(samples, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**6) <= 1.25 * peak(10**5)
+
+
 CHI_CORNERS = [
     (0.5, -0.5, 0.0, 0.0),  # q2 = 0
     (-0.5, 0.5, 0.0, 0.0),  # q1 = 0
@@ -162,7 +198,8 @@ def q_zero_lines(rng):
 
 def test_oracle_takes_the_smallest_of_the_sorted_eigenvalues():
     # The oracle stops a point's sweeps once the eigenvalue bounds settle it,
-    # and still gives the converged sweeps' verdict: also where the smallest
+    # and still gives the converged sweeps' verdict, as does floor_bounds on
+    # the points it settles before any sweep: also where the smallest
     # eigenvalue sits at 0 or at the floor, and on chi scaled from 1e-3 to 1e3
     # with the floor scaled along.
     rng = np.random.default_rng(31)
@@ -183,26 +220,38 @@ def test_oracle_takes_the_smallest_of_the_sorted_eigenvalues():
         for scale in np.logspace(-3.0, 3.0, 7):
             scaled = [scale * x for x in entries]
             floor = -CP_TOL * scale
-            settled = jacobi_batch(*scaled, floor=floor).min(axis=0) >= floor
-            assert np.array_equal(settled, jacobi_batch(*scaled).min(axis=0) >= floor)
+            converged = jacobi_batch(*scaled).min(axis=0) >= floor
+            assert np.array_equal(jacobi_batch(*scaled, floor=floor).min(axis=0) >= floor, converged)
+            above, open_ = floor_bounds(*scaled, floor)  # floor_bounds settles lanes with the converged verdict
+            settled = np.ones(converged.size, dtype=bool)
+            settled[open_] = False
+            assert np.array_equal(above[settled], converged[settled]) and not above[open_].any()
 
 
 def test_random_sweep_runs_fewer_than_one_jacobi_sweep_per_point(monkeypatch):
-    # Run to convergence, a random point takes about three sweeps; the
-    # eigenvalue bounds settle most points before the first.  Gershgorin's
-    # bound leaves 44,048 lane-sweeps here, and a weaker one such as the
-    # Frobenius Weyl bound (62,694) fails the bound below.
-    lane_sweeps = 0
-    sweep = linalg._sweep
+    # Run to convergence, a random point takes about three sweeps.  Brauer's
+    # ovals and the interlacing bound settle about 92 % of the points before
+    # any sweep, and the 8,282 they leave open at this seed run 11,623
+    # lane-sweeps in one oracle call.  Rayleigh's and Gershgorin's bounds
+    # alone settle 60 % and leave 44,048 lane-sweeps, which fails the bounds below.
+    lane_sweeps = points = 0
+    sweep, oracle = linalg._sweep, verify._oracle_cp
 
     def counted(*entries):
         nonlocal lane_sweeps
         lane_sweeps += np.size(entries[0])
         return sweep(*entries)
 
+    def counted_oracle(lam1, lam2, w1, w2):
+        nonlocal points
+        points += lam1.size
+        return oracle(lam1, lam2, w1, w2)
+
     monkeypatch.setattr(linalg, "_sweep", counted)
+    monkeypatch.setattr(verify, "_oracle_cp", counted_oracle)
     assert random_sweep(100_000, 0)[:2] == (100_000, 0)
-    assert 0 < lane_sweeps < 50_000
+    assert 0 < lane_sweeps < 15_000
+    assert 0 < points < 10_000
 
 
 def test_unital_grid_sweep_visits_the_reference_points(monkeypatch):
@@ -218,20 +267,52 @@ def test_unital_grid_sweep_visits_the_reference_points(monkeypatch):
     assert result[1] > 0
 
 
-def test_random_sweep_counts_disagreements_as_the_reference_does(monkeypatch):
-    # Random points never land within BOUNDARY_BAND of a boundary, so with the
-    # real oracle every count is 0.  A stand-in oracle, a wide band and a
-    # b threshold that every point misses make all three counts nonzero.
+def half_settled(d00, d01, d02, d11, d12, d22, floor):
+    """A stand-in for floor_bounds that settles the points with |w1| > 1/2, about half, as w1 > 0 (d01 = w1 / 2)."""
+    return d01 > 0.25, np.flatnonzero(abs(d01) <= 0.25)
+
+
+def stand_in_counts(monkeypatch, bounds):
+    """random_sweep(1000, 2) with a stand-in oracle, a wide band and a b threshold every point misses.
+
+    Returns the sweep's result, the reference's, and the sizes of the oracle's calls.
+    """
     def stand_in(lam1, lam2, w1, w2):
         return w1 > 0.0
 
-    monkeypatch.setattr(verify, "_oracle_cp", stand_in)
+    sizes = []
+
+    def held(lam1, lam2, w1, w2):
+        sizes.append(lam1.size)
+        return stand_in(lam1, lam2, w1, w2)
+
+    monkeypatch.setattr(verify, "floor_bounds", bounds)
+    monkeypatch.setattr(verify, "_oracle_cp", held)
     monkeypatch.setattr(verify, "BOUNDARY_BAND", 0.05)
     monkeypatch.setattr(verify, "CP_TOL", -10.0)
     monkeypatch.setattr(verify, "CHUNK", 64)
-    result = random_sweep(1000, 2)
-    assert result == random_reference(1000, 2, oracle=stand_in, band=0.05, b_tol=-10.0)
+    return random_sweep(1000, 2), random_reference(1000, 2, oracle=stand_in, band=0.05, b_tol=-10.0), sizes
+
+
+def test_random_sweep_counts_disagreements_as_the_reference_does(monkeypatch):
+    # Random points never land within BOUNDARY_BAND of a boundary, so with the
+    # real oracle every count is 0.  The stand-ins make all three counts
+    # nonzero.  With the bounds switched off, every point reaches the oracle.
+    result, reference, sizes = stand_in_counts(monkeypatch, all_open)
+    assert result == reference
     assert min(result) > 0
+    assert sum(sizes) == 1000
+
+
+def test_random_sweep_counts_settled_and_held_points_as_the_reference_does(monkeypatch):
+    # A stand-in bound settles about half of each 64-point chunk by the
+    # stand-in oracle's own verdict; the rest are held until 64 are, and
+    # once more at the end, so the oracle sees full arrays mid-sweep too.
+    result, reference, sizes = stand_in_counts(monkeypatch, half_settled)
+    assert result == reference
+    assert min(result) > 0
+    assert len(sizes) > 2 and min(sizes[:-1]) >= 64 and sizes[-1] > 0
+    assert 400 < sum(sizes) < 600
 
 
 def roundtrip_reference_prefixes(samples, seed, span=2.0):
