@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AffineChannel, _frozen_array
-from .linalg import FLOATS, TAU, rotation_matrix
+from .linalg import FLOATS, TAU
 
 SECTOR_TOL = 1e-12  # slack of lam1 >= |lam2| in a canonical form
 
@@ -114,29 +114,37 @@ def decompose_channel(channel: AffineChannel) -> CanonicalForm:
     return CanonicalForm(theta1=theta1, theta2=theta2, lam1=lam1, lam2=lam2, shift=(s0, s1))
 
 
-def rebuild(theta1, theta2, lam1, lam2, shift) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked inverse of :func:`factorize`: rot(theta1) diag(lam1, lam2) rot(theta2) and rot(theta1) s.
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed lam1 rebuilds to inf and NaN quietly
+def rebuild(theta1, theta2, lam1, lam2, s0, s1):
+    """(a00, a01, a10, a11, w0, w1) of rot(theta1) diag(lam1, lam2) rot(theta2) and rot(theta1) s.
 
-    Takes n of each parameter and an (n, 2) array of shifts; returns the
-    linear parts (n, 2, 2) and shifts (n, 2).  The rotations are
-    :func:`rebit.linalg.rotation_matrix` of the whole angle arrays, one
-    ``np.cos`` and one ``np.sin`` call each.
+    The one statement of the inverse of :func:`factorize`, whose results it
+    takes and whose arguments it returns, on Python floats and elementwise on
+    arrays alike.  rot(theta1) diag(lam1, lam2) is [[x1, -y2], [y1, x2]]; each
+    entry of its product with rot(theta2) and of the shift is written out and
+    summed from +0.0, as in :func:`factorize`, so a float has the bits of its
+    row in an array, no entry is -0.0, and no matrix product's fused
+    multiply-add rounds any of them.
     """
-    r1, r2 = rotation_matrix(theta1), rotation_matrix(theta2)
-    d = np.zeros((len(lam1), 2, 2))
-    d[:, 0, 0], d[:, 1, 1] = lam1, lam2
-    return r1 @ d @ r2, (r1 @ shift[:, :, None])[:, :, 0]
+    c1, n1, c2, n2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
+    x1, y1, x2, y2 = c1 * lam1, n1 * lam1, c1 * lam2, n1 * lam2
+    return (
+        0.0 + x1 * c2 - y2 * n2,
+        0.0 - x1 * n2 - y2 * c2,
+        0.0 + y1 * c2 + x2 * n2,
+        0.0 + x2 * c2 - y1 * n2,
+        0.0 + c1 * s0 - n1 * s1,
+        0.0 + n1 * s0 + c1 * s1,
+    )
 
 
 def reconstruct(form: CanonicalForm) -> AffineChannel:
     """Rebuild the affine channel described by a canonical form."""
-    a, w = rebuild([form.theta1], [form.theta2], [form.lam1], [form.lam2], form.shift[None])
-    return AffineChannel(a[0], w[0])
+    a00, a01, a10, a11, w0, w1 = rebuild(form.theta1, form.theta2, form.lam1, form.lam2, *form.shift.tolist())
+    return AffineChannel([[a00, a01], [a10, a11]], [w0, w1])
 
 
 def reconstruction_residual(channel: AffineChannel, form: CanonicalForm) -> float:
     """Max-abs mismatch between the channel and its rebuilt canonical form."""
-    rebuilt = reconstruct(form)
-    return float(
-        max(np.abs(rebuilt.a - channel.a).max(), np.abs(rebuilt.w - channel.w).max())
-    )
+    rebuilt = rebuild(form.theta1, form.theta2, form.lam1, form.lam2, *form.shift.tolist())
+    return float(np.abs(np.subtract(rebuilt, (*channel.a.ravel().tolist(), *channel.w.tolist()))).max())

@@ -215,8 +215,8 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     then rewound and advanced over exactly the doubles the channels used, so
     it ends where the one-at-a-time sampler leaves it.  The walked rows'
     shift pairs come from the offsets as one array, and
-    :func:`rebit.canonical.rebuild` assembles the chunk in whole-array
-    calls, with no Python-level step per channel.
+    :func:`rebit.canonical.rebuild` writes the chunk's six entries in
+    whole-array sums of products, with no Python-level step per channel.
     """
     count = len(a)
     state = rng.bit_generator.state
@@ -257,12 +257,11 @@ def _sample_chunk(rng: np.random.Generator, a: np.ndarray, w: np.ndarray, unital
     rng.bit_generator.state = state
     rng.random(2 * first_free)
 
-    hi, lo = hi[rows], lo[rows]
-    shift, theta = np.zeros((len(rows), 2)), _uniform(0.0, TAU, u[k + 1])
-    if not unital:
-        shift[:, 0], shift[:, 1] = _shift_from(u, k, hi, lo)
-    a[:len(rows)], w[:len(rows)] = rebuild(theta[:, 0], theta[:, 1], hi, lo, shift)
-    return len(rows)
+    n, hi, lo = len(rows), hi[rows], lo[rows]
+    s0, s1 = (0.0, 0.0) if unital else _shift_from(u, k, hi, lo)
+    entries = rebuild(*_uniform(0.0, TAU, u[k + 1]).T, hi, lo, s0, s1)  # theta1, theta2 from pair k + 1
+    a[:n, 0, 0], a[:n, 0, 1], a[:n, 1, 0], a[:n, 1, 1], w[:n, 0], w[:n, 1] = entries
+    return n
 
 
 def sample_cp_channel(seed: int, unital: bool = False) -> AffineChannel:

@@ -49,7 +49,7 @@ def rotation_matrix(theta) -> np.ndarray:
 
     One path for floats and arrays, through ``np.cos`` and ``np.sin``, so an
     angle's rotation has the same bits alone, inside an array and in
-    :func:`rebit.canonical.rebuild`.
+    :func:`rebit.canonical.rebuild`'s written-out products.
     """
     if not np.all(np.isfinite(theta)):
         raise ValueError(f"rotation angles must be finite, got {theta!r}")

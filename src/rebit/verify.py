@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bloch import density_from_bloch
-from .canonical import factorize
+from .canonical import factorize, rebuild
 from .channel import orthogonal_channel
 from .cp import CP_TOL, _charpoly_from_margin, chi_matrix, closed_form_verdict
 from .linalg import floor_bounds, jacobi_batch, rotation_matrix
@@ -28,7 +28,7 @@ CHUNK = 8192  # points per array evaluation in every sweep but the double-angle 
 # as one up-front draw), and the random points that the eigenvalue bounds
 # leave open go to the oracle whenever CHUNK of them are held, so memory
 # stays flat in the sweeps' size (tracemalloc peaks at the size limits: 0.9
-# MiB grid, 1.9 MiB random, 1.6 MiB round trip).  Their time does not: a grid
+# MiB grid, 1.9 MiB random, 1.8 MiB round trip).  Their time does not: a grid
 # point costs about 0.06-0.09 us, a random point 0.13-0.18 us and a round
 # trip 0.35-0.5 us (best of 3, Python 3.11, numpy 2.4, one core of an x86-64
 # Xeon VM whose speed drifts by up to 2x).  These limits keep the largest run
@@ -122,8 +122,8 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0) -> tuple[int, float, f
     Each point is a linear part A and a shift w, drawn as the six entries
     (a00, a01, a10, a11, w0, w1) in that order.  Returns (samples,
     max_residual, max_det_error): the largest max-abs mismatch between
-    (A, w) and (rot(theta1) diag(lam1, lam2) rot(theta2), rot(theta1) s),
-    and the largest |det A - lam1 lam2|.
+    (A, w) and their :func:`rebit.canonical.rebuild` from the factors, the
+    same rebuild as ``decompose``'s residual, and the largest |det A - lam1 lam2|.
     """
     rng = np.random.default_rng(seed)
     max_residual = max_det_err = 0.0
@@ -131,15 +131,7 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0) -> tuple[int, float, f
         entries = rng.uniform(-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN, (min(CHUNK, samples - start), 6)).T
         a00, a01, a10, a11 = entries[:4]
         theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries, np)
-        c1, n1, c2, n2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
-        rebuilt = (
-            c1 * lam1 * c2 - n1 * lam2 * n2,
-            -c1 * lam1 * n2 - n1 * lam2 * c2,
-            n1 * lam1 * c2 + c1 * lam2 * n2,
-            c1 * lam2 * c2 - n1 * lam1 * n2,
-            c1 * s0 - n1 * s1,
-            n1 * s0 + c1 * s1,
-        )
+        rebuilt = rebuild(theta1, theta2, lam1, lam2, s0, s1)
         max_residual = max(max_residual, *(float(abs(x - e).max()) for x, e in zip(rebuilt, entries)))
         max_det_err = max(max_det_err, float(abs(a00 * a11 - a01 * a10 - lam1 * lam2).max()))
     return samples, max_residual, max_det_err

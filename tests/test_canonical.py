@@ -16,7 +16,7 @@ from rebit.canonical import (
 )
 from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel
 from rebit.cp import is_cp
-from rebit.linalg import TAU, rotation_matrix
+from rebit.linalg import FLOATS, TAU, rotation_matrix
 
 
 def test_already_diagonal_is_fixed_point():
@@ -145,16 +145,38 @@ def test_determinant_and_singular_values_preserved():
         assert abs(abs(form.lam2) - s2) <= 1e-10
 
 
-def test_rebuild_is_the_product_of_its_factors_bit_for_bit():
+def test_rebuild_is_the_written_out_product_of_its_factors():
     rng = np.random.default_rng(80)
     theta = rng.uniform(0.0, TAU, (50, 2))
     lam = rng.uniform(-1.0, 1.0, (50, 2))
     shift = rng.uniform(-1.0, 1.0, (50, 2))
-    a, w = rebuild(theta[:, 0], theta[:, 1], lam[:, 0], lam[:, 1], shift)
+    entries = np.stack(rebuild(theta[:, 0], theta[:, 1], lam[:, 0], lam[:, 1], shift[:, 0], shift[:, 1]), axis=-1)
     for row in range(50):
-        r1 = rotation_matrix(theta[row, 0])
-        assert np.array_equal(a[row], r1 @ np.diag(lam[row]) @ rotation_matrix(theta[row, 1]))
-        assert np.array_equal(w[row], r1 @ shift[row])
+        r1, r2 = rotation_matrix(theta[row, 0]), rotation_matrix(theta[row, 1])
+        (c1, n1), (c2, n2) = r1[:, 0], r2[:, 0]
+        (lam1, lam2), (s0, s1) = lam[row], shift[row]
+        written = [
+            0.0 + c1 * lam1 * c2 - n1 * lam2 * n2,
+            0.0 - c1 * lam1 * n2 - n1 * lam2 * c2,
+            0.0 + n1 * lam1 * c2 + c1 * lam2 * n2,
+            0.0 + c1 * lam2 * c2 - n1 * lam1 * n2,
+            0.0 + c1 * s0 - n1 * s1,
+            0.0 + n1 * s0 + c1 * s1,
+        ]
+        assert entries[row].tobytes() == np.array(written).tobytes()
+        product = np.concatenate([(r1 @ np.diag(lam[row]) @ r2).ravel(), r1 @ shift[row]])
+        assert np.abs(entries[row] - product).max() <= 2.3e-16
+
+
+def test_rebuild_leaves_no_negative_zero():
+    # a zero shift and lam2 = 0 make zero products of either sign; the sums start from +0.0
+    rng = np.random.default_rng(80)
+    theta = rng.uniform(0.0, TAU, (50, 2))
+    lam1 = rng.uniform(-1.0, 1.0, 50)
+    for zero in (0.0, -0.0):
+        entries = np.stack(rebuild(theta[:, 0], theta[:, 1], lam1, zero, zero, zero))
+        assert np.count_nonzero(entries[4:] == 0.0) == 100
+        assert not np.signbit(entries[entries == 0.0]).any()
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,13 +209,18 @@ def test_cp_verdict_invariant_under_factorization():
         assert is_cp(channel).is_cp == is_cp(diagonal_part).is_cp
 
 
-def float_path(entries: np.ndarray) -> np.ndarray:
-    """factorize on Python floats, one row of (a00, a01, a10, a11, w0, w1) at a time."""
-    return np.array([factorize(*row) for row in entries.tolist()]).reshape(-1, 6)
+def roundtrip(a00, a01, a10, a11, w0, w1, xp=FLOATS):
+    """The factorization's round trip: rebuild of factorize."""
+    return rebuild(*factorize(a00, a01, a10, a11, w0, w1, xp))
 
 
-def array_path(entries: np.ndarray) -> np.ndarray:
-    return np.stack(factorize(*entries.T, np), axis=-1).reshape(-1, 6)
+def float_path(entries: np.ndarray, step=factorize) -> np.ndarray:
+    """``step`` on Python floats, one row of (a00, a01, a10, a11, w0, w1) at a time."""
+    return np.array([step(*row) for row in entries.tolist()]).reshape(-1, 6)
+
+
+def array_path(entries: np.ndarray, step=factorize) -> np.ndarray:
+    return np.stack(step(*entries.T, np), axis=-1).reshape(-1, 6)
 
 
 def random_entries(count: int, seed: int, span: float = 2.0) -> np.ndarray:
@@ -204,7 +231,8 @@ def test_float_and_array_paths_agree_on_random_matrices():
     # arctan2, hypot, cos and sin are numpy's on both paths, so a channel has the bits of its row
     for scale in (1.0, 1e-100, 1e100):
         entries = random_entries(10_000, 81) * scale
-        assert float_path(entries).tobytes() == array_path(entries).tobytes()
+        for step in (factorize, roundtrip):
+            assert float_path(entries, step).tobytes() == array_path(entries, step).tobytes()
 
 
 Z, T = -0.0, 1e-300
@@ -236,8 +264,9 @@ def corner_entries(shifts) -> np.ndarray:
 
 def test_float_and_array_paths_agree_exactly_on_degenerate_corners():
     entries = corner_entries([(0.0, 0.0), (Z, 0.3), (T, -T)])
-    floats, arrays = float_path(entries), array_path(entries)
-    assert floats.tobytes() == arrays.tobytes()  # bit for bit, signs of zeros included
+    for step in (factorize, roundtrip):
+        floats, arrays = float_path(entries, step), array_path(entries, step)
+        assert floats.tobytes() == arrays.tobytes()  # bit for bit, signs of zeros included
 
 
 def test_the_sign_of_a_zero_entry_does_not_change_the_factorization():

@@ -316,8 +316,11 @@ def reference_channel(rng: np.random.Generator, unital: bool) -> AffineChannel:
             if margin >= 0.0 and ellipse_peak_norm(shift, (a1, a2)) <= 1.0:
                 break
     theta1, theta2 = rng.uniform(0.0, TAU, 2)
-    r1 = rotation_matrix(theta1)
-    return AffineChannel(r1 @ np.diag([hi, lo]) @ rotation_matrix(theta2), r1 @ shift)
+    r1, r2 = rotation_matrix(theta1), rotation_matrix(theta2)
+    m = r1 * [hi, lo]  # r1 @ diag(hi, lo)
+    # each product written out and summed from +0.0: a matrix product may round through a fused multiply-add
+    a = [[0.0 + m[i, 0] * r2[0, j] + m[i, 1] * r2[1, j] for j in range(2)] for i in range(2)]
+    return AffineChannel(a, [0.0 + r1[i, 0] * shift[0] + r1[i, 1] * shift[1] for i in range(2)])
 
 
 def assert_same_stream(seed: int, count: int, unital: bool) -> None:

@@ -71,9 +71,9 @@ def test_check_golden(tmp_path, capsys, name):
     check_golden(f"{name}.check.json", out)
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_CHANNELS))
+@pytest.mark.parametrize("name", sorted(NAMED_CHANNELS) + sorted(TILTED_CHANNELS))
 def test_decompose_golden(tmp_path, capsys, name):
-    path = write_channel(tmp_path, NAMED_CHANNELS[name])
+    path = write_channel(tmp_path, (NAMED_CHANNELS | TILTED_CHANNELS)[name])
     code, out, _ = run_cli(capsys, "decompose", path)
     assert code == 0
     check_golden(f"{name}.decompose.json", out)
@@ -190,6 +190,15 @@ def test_check_and_classify_answer_far_channels_in_strict_json(tmp_path, capsys,
         strict_json(out)
 
 
+def test_decompose_prints_an_overflowed_scale_and_residual_as_null(tmp_path, capsys):
+    # the first column's norm passes the largest float, so lam1 is inf and its rebuild inf and NaN
+    path = write_channel(tmp_path, {"A": [[1.5e308, 0.0], [1.5e308, 0.0]], "w": [0.0, 0.0]})
+    code, out, err = run_cli(capsys, "decompose", path)
+    doc = strict_json(out)
+    assert code == 0 and err == ""
+    assert doc["lambda"] == [None, 0.0] and doc["residual"] is None
+
+
 @pytest.mark.parametrize("argv", [["check"], ["sample", "--count", "abc"], ["nope"], []])
 def test_usage_errors_exit_one(capsys, argv):
     # argparse's own code is 2, which would read as "not CP"
@@ -268,11 +277,11 @@ def test_sample_lines_match_the_library_stream(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, digest", [((), "b42809e13ea2c144878d27083585ebe7"), (("--unital",), "09aa088c59e8d0bb6f7cde265e76673a")]
+    "flags, digest", [((), "21e8c866cb2aba89b150466fc270f03e"), (("--unital",), "413c414a2178ac0b5b78da838a562373")]
 )
 def test_sample_output_is_pinned(capsys, flags, digest):
-    # the JSON text of 10^4 channels, so cos and sin rounding count too: a change
-    # to the sampler that moves any draw, or to the rebuild, changes the digest
+    # the JSON text of 10^4 channels, so cos and sin rounding count too: a change to the
+    # sampler that moves any draw, or to the order of rebuild's written-out sums, changes the digest
     code, out, _ = run_cli(capsys, "sample", "--count", "10000", "--seed", "0", *flags)
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == digest
