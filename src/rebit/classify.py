@@ -288,10 +288,12 @@ def sample_cp_channels(rng: np.random.Generator, count: int, unital: bool = Fals
     ``count`` calls with count 1 give the same stream as one call.
 
     The law: (lam1, lam2) uniform on the pentagon, by rejection from the
-    square [-1, 1]^2, then folded onto lam1 >= |lam2| by the pentagon's own
-    symmetries; given them, the canonical shift uniform on its admissible
-    set, by rejection from the box |s_i| <= 1 - |lam_i|; the two dressing
-    angles uniform.  This is not Lebesgue measure on (A, w).
+    square [-1, 1]^2, then folded onto lam1 >= |lam2| by the axis swap and
+    the half turn, which is not a symmetry of the pentagon: the folded scales
+    have density 4 / 2.5 where lam1 + lam2 <= 1 and 2 / 2.5 above.  Given
+    them, the canonical shift uniform on its admissible set, by rejection
+    from the box |s_i| <= 1 - |lam_i|; the two dressing angles uniform.
+    This is not Lebesgue measure on (A, w).
     """
     a, w = np.empty((max(count, 0), 2, 2)), np.empty((max(count, 0), 2))
     done = 0

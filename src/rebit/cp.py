@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 from .canonical import decompose_channel
 from .channel import AffineChannel
-from .linalg import FLOATS, _peak_bracket, _peak_norm, eig_sym3
+from .linalg import FLOATS, _peak_norm, eig_sym3
 
 CP_TOL = 1e-9  # one-sided boundary slack: the admissible region is closed
-PEAK_BAND = 1e-9  # band around (1 + tol)^2 in which decide's bounds on the squared peak norm defer to the next stage
+PEAK_BAND = 1e-9  # band around (1 + tol)^2 in which decide's bounds on the squared peak norm defer to Newton
 DIAGONAL_TOL = 1e-12
 TIE_TOL = 1e-12  # lam1 + lam2 at or below which a reflection's two scales tie
 
@@ -134,18 +134,15 @@ def decide(lam1, lam2, w1, w2, xp, tol=CP_TOL) -> tuple:
 
     :func:`closed_form_verdict` and a peak norm of the image of at most 1, each
     with slack ``tol``: ``CP_TOL`` in :func:`is_cp`, 0 in the sampler.  The
-    peak norm is settled in three stages, each on the lanes the last leaves
-    open.  First closed-form bounds on the squared peak norm: at most |w|^2 +
-    lam1^2 + 2 |b|, with b = (lam1 |w1|, |lam2 w2|), and at least the squared
-    norm of the image's farthest point on either axis, (|w1| + lam1, |w2|) or
-    (|w1|, |w2| + |lam2|).  Then the bracket of
-    :func:`rebit.linalg._peak_bracket`, BRACKET_STEPS Newton steps in.  Then
-    the Newton peak norm of :func:`rebit.linalg._peak_norm`, the same kernel
-    NEWTON_STEPS steps in.  A bound that lies more than ``PEAK_BAND`` on its
-    side of (1 + tol)^2 decides: far beyond the bounds' rounding and the peak
-    norm's error, so every stage gives the verdict the Newton peak norm
-    gives.  Floats and arrays run the same stages; arrays compress each
-    stage's open lanes out.
+    peak norm is settled in two stages.  First closed-form bounds on the
+    squared peak norm: at most |w|^2 + lam1^2 + 2 |b|, with b = (lam1 |w1|,
+    |lam2 w2|), and at least the squared norm of the image's farthest point
+    on either axis, (|w1| + lam1, |w2|) or (|w1|, |w2| + |lam2|).  A bound
+    that lies more than ``PEAK_BAND`` on its side of (1 + tol)^2 decides: far
+    beyond the bounds' rounding and the peak norm's error, so it gives the
+    verdict the Newton peak norm gives.  The lanes the bounds leave open get
+    that Newton peak norm, :func:`rebit.linalg._peak_norm`.  Floats and arrays
+    run the same stages; arrays compress the open lanes out.
     """
     verdict, q, margin = closed_form_verdict(lam1, lam2, w1, w2, tol)
     a2, z1, z2 = abs(lam2), abs(w1), abs(w2)
@@ -155,35 +152,22 @@ def decide(lam1, lam2, w1, w2, xp, tol=CP_TOL) -> tuple:
     inside = verdict & (v1 + v2 + lam1 * lam1 + 2.0 * xp.sqrt(b1 * b1 + b2 * b2) <= edge - PEAK_BAND)
     p1, p2 = z1 + lam1, z2 + a2
     unsure = (verdict ^ inside) & (xp.maximum(p1 * p1 + v2, v1 + p2 * p2) <= edge + PEAK_BAND)
-    return _settle(inside, unsure, (w1, w2, lam1, a2), _bracketed, xp, tol), q, margin
+    return _settle(inside, unsure, (w1, w2, lam1, a2), xp, 1.0 + tol), q, margin
 
 
-def _bracketed(s1, s2, a1, a2, xp, tol):
-    """Whether the peak norm is at most 1 + tol: by :func:`rebit.linalg._peak_bracket` where it decides, else Newton."""
-    lower, upper = _peak_bracket(s1, s2, a1, a2, xp)
-    edge = (1.0 + tol) * (1.0 + tol)
-    inside = upper <= edge - PEAK_BAND
-    unsure = (lower <= edge + PEAK_BAND) ^ inside  # the lower bound is below the upper one
-    return _settle(inside, unsure, (s1, s2, a1, a2), _newton_contained, xp, tol)
+def _settle(inside, unsure, lanes, xp, limit):
+    """``inside`` with each ``unsure`` lane replaced by whether its ``lanes``' :func:`_peak_norm` is at most ``limit``.
 
-
-def _newton_contained(s1, s2, a1, a2, xp, tol):
-    return _peak_norm(s1, s2, a1, a2, xp) <= 1.0 + tol
-
-
-def _settle(inside, unsure, lanes, stage, xp, tol):
-    """``inside`` with each ``unsure`` lane replaced by ``stage`` run on its ``lanes``.
-
-    A single lane (floats or 0-d arrays) runs the stage only when unsure;
+    A single lane (floats or 0-d arrays) runs the peak norm only when unsure;
     arrays compress the unsure lanes out, broadcasting only what needs it:
     ``broadcast_to`` costs as much as several ufuncs.
     """
     if xp is FLOATS or xp.ndim(unsure) == 0:
-        return inside or (unsure and stage(*lanes, xp, tol))
+        return inside or (unsure and _peak_norm(*lanes, xp) <= limit)
     if unsure.any():
         shape = unsure.shape
         lanes = (x[unsure] if xp.shape(x) == shape else xp.broadcast_to(x, shape)[unsure] for x in lanes)
-        inside[unsure] = stage(*lanes, xp, tol)
+        inside[unsure] = _peak_norm(*lanes, xp) <= limit
     return inside
 
 

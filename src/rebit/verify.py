@@ -99,9 +99,10 @@ def random_sweep(samples: int = 100_000, seed: int = 0) -> tuple[int, int, int, 
     for start in range(0, samples, CHUNK):
         lam1, lam2, w1, w2 = rng.uniform(-1.0, 1.0, (min(CHUNK, samples - start), 4)).T.copy()
         closed, q, margin = closed_form_verdict(lam1, lam2, w1, w2)
-        b_violations += int(np.count_nonzero(closed & (_charpoly_from_margin(lam1, lam2, w1, w2, margin)[1] < -CP_TOL)))
+        b = _charpoly_from_margin(lam1, lam2, w1, w2, margin)[1]
+        b_violations += int(np.count_nonzero(closed & ~(b >= -CP_TOL)))  # ~(>=), not <: a NaN b is a violation
         near = (abs(margin) < BOUNDARY_BAND) | (np.minimum(np.minimum(abs(q[0]), abs(q[1])), abs(q[2])) < BOUNDARY_BAND)
-        del q, margin  # so that the bounds' temporaries do not sit on top of them
+        del q, margin, b  # so that the bounds' temporaries do not sit on top of them
         above, open_ = floor_bounds(*chi_matrix(lam1, lam2, w1, w2), -CP_TOL)
         differ = closed != above
         differ[open_] = False
@@ -121,9 +122,10 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0) -> tuple[int, float, f
 
     Each point is a linear part A and a shift w, drawn as the six entries
     (a00, a01, a10, a11, w0, w1) in that order.  Returns (samples,
-    max_residual, max_det_error): the largest max-abs mismatch between
-    (A, w) and their :func:`rebit.canonical.rebuild` from the factors, the
-    same rebuild as ``decompose``'s residual, and the largest |det A - lam1 lam2|.
+    max_residual, max_det_error), each NaN if any point's is: the largest
+    max-abs mismatch between (A, w) and their :func:`rebit.canonical.rebuild`
+    from the factors, the same rebuild as ``decompose``'s residual, and the
+    largest |det A - lam1 lam2|.
     """
     rng = np.random.default_rng(seed)
     max_residual = max_det_err = 0.0
@@ -132,9 +134,10 @@ def roundtrip_sweep(samples: int = 10_000, seed: int = 0) -> tuple[int, float, f
         a00, a01, a10, a11 = entries[:4]
         theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries, np)
         rebuilt = rebuild(theta1, theta2, lam1, lam2, s0, s1)
-        max_residual = max(max_residual, *(float(abs(x - e).max()) for x, e in zip(rebuilt, entries)))
-        max_det_err = max(max_det_err, float(abs(a00 * a11 - a01 * a10 - lam1 * lam2).max()))
-    return samples, max_residual, max_det_err
+        for x, e in zip(rebuilt, entries):  # np.maximum keeps a NaN, which Python's max drops unless it comes first
+            max_residual = np.maximum(max_residual, abs(x - e).max())
+        max_det_err = np.maximum(max_det_err, abs(a00 * a11 - a01 * a10 - lam1 * lam2).max())
+    return samples, float(max_residual), float(max_det_err)
 
 
 def double_angle_sweep(count: int = 100, seed: int = 0) -> tuple[int, float]:
@@ -184,7 +187,7 @@ def run_verify(grid_step: float = 0.01, samples: int = 100_000, seed: int = 0) -
     roundtrips, max_residual, max_det_err = roundtrip_sweep(min(samples, 10_000), seed)
     angle_failures, _ = double_angle_sweep(100, seed)
     mismatches = grid_mismatches + sweep_mismatches + b_violations + angle_failures
-    if max_residual > ROUNDTRIP_TOL or max_det_err > ROUNDTRIP_TOL:
+    if not (max_residual <= ROUNDTRIP_TOL and max_det_err <= ROUNDTRIP_TOL):  # a NaN fails too
         mismatches += 1
     return VerifyReport(
         grid_points=grid_points,

@@ -1,6 +1,7 @@
 """The batched sweeps against one-point-at-a-time reference loops."""
 
 import functools
+import json
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ import rebit.linalg as linalg
 import rebit.verify as verify
 from rebit.bloch import density_from_bloch
 from rebit.canonical import decompose_channel, factorize, reconstruction_residual
+from rebit.cli import main
 from rebit.channel import AffineChannel, OrthogonalChannel, orthogonal_channel
 from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict, q_values
 from rebit.linalg import eig_sym3, floor_bounds, jacobi_batch, rotation_matrix
@@ -370,6 +372,37 @@ def test_a_wrong_factorization_fails_verify(monkeypatch, wrong):
     report = run_verify(grid_step=1.0, samples=50)
     assert report.mismatches == 1
     assert report.max_roundtrip_residual > 1e-10
+
+
+def nan_in_one_lam1(*entries):
+    theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries)
+    lam1 = lam1.copy()
+    lam1[len(lam1) // 2] = math.nan  # not the first lane: Python's max drops a NaN that comes later
+    return theta1, theta2, lam1, lam2, s0, s1
+
+
+def test_a_nan_factorization_fails_verify_and_prints_as_null(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "factorize", nan_in_one_lam1)
+    report = run_verify(grid_step=1.0, samples=50)
+    assert report.mismatches == 1
+    assert math.isnan(report.max_roundtrip_residual)
+    code = main(["verify", "--grid-step", "1", "--samples", "50"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(f"{token} is not JSON"))
+    assert code == 2 and doc["mismatches"] == 1 and doc["max_roundtrip_residual"] is None
+
+
+def test_a_nan_b_coefficient_counts_as_a_violation(monkeypatch):
+    def nan_b_where_accepted(lam1, lam2, w1, w2, margin):
+        a, b, det_chi = charpoly_from_margin(lam1, lam2, w1, w2, margin)
+        b = b.copy()
+        b[np.flatnonzero(closed_form_verdict(lam1, lam2, w1, w2)[0])[-1]] = math.nan  # the last accepted point
+        return a, b, det_chi
+
+    charpoly_from_margin = verify._charpoly_from_margin
+    assert random_sweep(50, 0)[3] == 0
+    monkeypatch.setattr(verify, "_charpoly_from_margin", nan_b_where_accepted)
+    assert random_sweep(50, 0)[3] == 1
+    assert run_verify(grid_step=1.0, samples=50).mismatches == 1
 
 
 def wrong_closed_form(margin_of):
