@@ -29,7 +29,12 @@ def is_valid_state(m: np.ndarray) -> tuple[bool, str | None]:
 
     Returns ``(True, None)`` or ``(False, reason)``; never raises.
     """
-    m = np.asarray(m, dtype=float)
+    try:
+        if np.iscomplexobj(m):  # the cast below would drop the imaginary parts with a warning
+            raise TypeError("complex entries")
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # a string, a ragged list, a dict, an int past float's range
+        return False, f"not a float array: {exc}"
     if m.shape != (2, 2):
         return False, f"expected a 2x2 matrix, got shape {m.shape}"
     if not np.all(np.isfinite(m)):

@@ -17,10 +17,10 @@ import numpy as np
 TAU = 2.0 * math.pi
 JACOBI_TOL = 1e-14  # off-diagonal size at which the Jacobi sweeps stop
 JACOBI_MAX_SWEEPS = 100
-# Band beyond a floor that the eigenvalue bounds of jacobi_batch and floor_bounds must clear to settle
-# a lane, times 1 + max |a_ii| + max r_i (Gershgorin's radii): 50 times the converged
-# sweeps' distance to the spectrum (||offdiag||_2 <= max r_i < 2 JACOBI_TOL, absolute)
-# and over 1000 times the rounding of the bounds and of the sweeps (a few dozen ulps of that scale).
+# Band beyond a floor that the eigenvalue bounds of floor_bounds must clear to settle a lane,
+# times 1 + max |a_ii| + max r_i (Gershgorin's radii): 50 times the converged sweeps'
+# distance to the spectrum (||offdiag||_2 <= max r_i < 2 JACOBI_TOL, absolute), and over
+# 1000 times the rounding of the bounds and of the sweeps (a few dozen ulps of that scale).
 FLOOR_BAND = 1e-12
 NEWTON_STEPS = 8  # 6 already agree with 60 to 5e-16 on near-tangent, near-circle and log-scaled ellipses
 
@@ -130,19 +130,7 @@ def eig_sym3(d00, d01, d02, d11, d12, d22) -> tuple[float, float, float]:
     return tuple(sorted((a[0], a[3], a[5]), reverse=True))
 
 
-def _radii(a01, a02, a12):
-    """Gershgorin's radii (r0, r1, r2), r_i = sum over j != i of |a_ij|."""
-    return abs(a01) + abs(a02), abs(a01) + abs(a12), abs(a02) + abs(a12)
-
-
-def _least_and_band(a00, a11, a22, r0, r1, r2):
-    """(min a_ii, FLOOR_BAND (1 + max |a_ii| + max r_i)): Rayleigh's bound and the band a bound must clear a floor by."""
-    least = np.minimum(np.minimum(a00, a11), a22)
-    band = np.maximum(np.maximum(np.maximum(a00, a11), a22), -least) + np.maximum(np.maximum(r0, r1), r2)
-    return least, FLOOR_BAND * (1.0 + band)  # the scale, max |a_ii| + max r_i, gets no name: one array less to hold
-
-
-def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
+def jacobi_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
     """Unsorted eigenvalues of a stack of symmetric 3x3 matrices given entrywise.
 
     Takes :func:`eig_sym3`'s six upper-triangle entries, floats or arrays that
@@ -150,16 +138,10 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     a22) as one array of shape (3, ...).  Every lane runs :func:`eig_sym3`'s
     sweeps with the same bits, but only the live lanes stay in the arrays: a
     lane that freezes writes its diagonal to the result and leaves, so the
-    later sweeps, which few lanes need, run on those lanes alone.
-
-    With a ``floor``, for callers that read only whether the smallest
-    eigenvalue reaches it, a lane also leaves with its current diagonal once
-    Rayleigh's bound (lambda_min <= min a_ii) or Gershgorin's (lambda_min >=
-    min over i of a_ii - r_i, r_i = sum over j != i of |a_ij|) clears the
-    floor by ``FLOOR_BAND`` (1 + max |a_ii| + max r_i): its smallest diagonal
-    entry is then on the same side of the floor as the converged one.  A
-    caller that can hold its lanes settles more of them before any sweep
-    with :func:`floor_bounds`, and sends only the open ones here.
+    later sweeps, which few lanes need, run on those lanes alone.  A caller
+    that reads only which side of a floor the smallest eigenvalue is on
+    settles most lanes first with :func:`floor_bounds` and sends only the
+    open ones here.
     """
     entries = np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
     shape = entries[0].shape
@@ -168,17 +150,12 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22, floor=None) -> np.ndarray:
     lanes = np.arange(a[0].size)
     for _ in range(JACOBI_MAX_SWEEPS):
         stay = _live(a[1], a[2], a[4], np)
-        if floor is not None and stay.any():
-            r0, r1, r2 = _radii(a[1], a[2], a[4])
-            least, band = _least_and_band(a[0], a[3], a[5], r0, r1, r2)
-            stay &= (least + band >= floor) & (np.minimum(np.minimum(a[0] - r0, a[3] - r1), a[5] - r2) - band < floor)
-            del r0, r1, r2, least, band  # so that the sweep's temporaries do not sit on top of them
         if not stay.all():
             done = np.flatnonzero(~stay)
             at = lanes.take(done)
             for row, x in zip(out, (a[0], a[3], a[5])):
                 row[at] = x.take(done)
-            del done, at  # freed before the sweep, like the bounds' temporaries
+            del done, at  # freed before the sweep, so that its temporaries do not sit on top of them
             keep = np.flatnonzero(stay)
             lanes = lanes.take(keep)
             a = [x.take(keep) if np.ndim(x) else x for x in a]  # a12 may be the float 0.0
@@ -197,23 +174,25 @@ def floor_bounds(d00, d01, d02, d11, d12, d22, floor) -> tuple[np.ndarray, np.nd
     Takes :func:`jacobi_batch`'s six entries, floats or arrays that broadcast
     against each other, and returns (above, open): ``above`` is True on the
     lanes the bounds put at or above the floor, and ``open`` holds the flat
-    indices of the lanes they leave to the sweeps.  With lo and hi the floor
-    plus and minus jacobi_batch's band, FLOOR_BAND (1 + max |a_ii| + max
-    r_i), a lane is above when every a_ii > lo and every pair of rows has
-    (a_ii - lo)(a_jj - lo) >= r_i r_j: every eigenvalue lies in one of
-    Brauer's ovals of Cassini |z - a_ii| |z - a_jj| <= r_i r_j (Brauer,
-    1947), and these lie right of lo.  It is below when min a_ii < hi
-    (Rayleigh) or some 2x2 principal block has (a_ii - hi)(a_jj - hi) <
-    a_ij^2: the block's smaller eigenvalue, an upper bound on the smallest
-    by Cauchy interlacing, is then below hi.  A settled lane's side is thus
-    the converged sweeps'.  The ovals lie within the union of Gershgorin's
-    discs, so, up to a rounding at the band's edge, these bounds settle every
-    lane that jacobi_batch's settle before a sweep, and more.  A NaN entry
-    leaves its lane open.
+    indices of the lanes they leave to the sweeps.  With Gershgorin's radii
+    r_i = sum over j != i of |a_ij| and lo and hi the floor plus and minus
+    the band FLOOR_BAND (1 + max |a_ii| + max r_i), a lane is above when
+    every a_ii > lo and every pair of rows has (a_ii - lo)(a_jj - lo) >= r_i
+    r_j: every eigenvalue lies in one of Brauer's ovals of Cassini |z - a_ii|
+    |z - a_jj| <= r_i r_j (Brauer, 1947), and these lie right of lo.  It is
+    below when min a_ii < hi (Rayleigh) or some 2x2 principal block has (a_ii
+    - hi)(a_jj - hi) < a_ij^2: the block's smaller eigenvalue, an upper bound
+    on the smallest by Cauchy interlacing, is then below hi.  A settled
+    lane's side is thus the converged sweeps'.  The ovals lie within the
+    union of Gershgorin's discs, so these bounds settle, up to a rounding at
+    the band's edge, every lane that Gershgorin's would, and more.  This is
+    the one place a lane is settled by bounds; a NaN entry leaves it open.
     """
     shape = np.broadcast_shapes(*(np.shape(d) for d in (d00, d01, d02, d11, d12, d22)))
-    r0, r1, r2 = _radii(d01, d02, d12)
-    least, band = _least_and_band(d00, d11, d22, r0, r1, r2)
+    r0, r1, r2 = abs(d01) + abs(d02), abs(d01) + abs(d12), abs(d02) + abs(d12)  # Gershgorin's radii
+    least = np.minimum(np.minimum(d00, d11), d22)
+    band = np.maximum(np.maximum(np.maximum(d00, d11), d22), -least) + np.maximum(np.maximum(r0, r1), r2)
+    band = FLOOR_BAND * (1.0 + band)  # the scale, max |a_ii| + max r_i, gets no name: one array less to hold
     lo = floor + band
     x0, x1, x2 = d00 - lo, d11 - lo, d22 - lo
     above = (least > lo) & (x0 * x1 >= r0 * r1) & (x0 * x2 >= r0 * r2) & (x1 * x2 >= r1 * r2)

@@ -35,8 +35,9 @@ _STYLE = """\
 
 
 def _fmt(x: float) -> str:
-    # fixed decimals keep the byte stream independent of repr quirks
-    return f"{x + 0.0:.4f}"
+    # fixed decimals keep the byte stream independent of repr quirks; every drawn number passes here, and one
+    # far off the canvas (a far shift overflows to inf on Python floats) is clamped to +-1e9 to stay an SVG number
+    return f"{min(max(x, -1e9), 1e9) + 0.0:.4f}"
 
 
 def _px(x: float, y: float, scale: float = DISK_R) -> tuple[float, float]:
@@ -71,7 +72,7 @@ def disk_figure_svg(channel: AffineChannel) -> str:
     """Bloch disk with axes, boundary markers and the channel's image ellipse."""
     form = decompose_channel(channel)
     a1, a2, tilt = abs(form.lam1), abs(form.lam2), form.theta1  # the image ellipse's semi-axes and tilt
-    c1, c2 = channel.w  # and its center
+    c1, c2 = channel.w.tolist()  # and its center, as Python floats, which overflow to inf without a warning
     parts = _header("Bloch disk image")
     parts.append(_line("axis", _px(-1.1, 0.0), _px(1.1, 0.0)))
     parts.append(_line("axis", _px(0.0, -1.1), _px(0.0, 1.1)))

@@ -27,14 +27,14 @@ CHUNK = 8192  # points per array evaluation in every sweep but the double-angle 
 # random points are drawn chunk by chunk from one generator (the same stream
 # as one up-front draw), and the random points that the eigenvalue bounds
 # leave open go to the oracle whenever CHUNK of them are held, so memory
-# stays flat in the sweeps' size (tracemalloc peaks at the size limits: 0.9
-# MiB grid, 1.9 MiB random, 1.8 MiB round trip).  Their time does not: a grid
-# point costs about 0.06-0.09 us, a random point 0.13-0.18 us and a round
-# trip 0.35-0.5 us (best of 3, Python 3.11, numpy 2.4, one core of an x86-64
-# Xeon VM whose speed drifts by up to 2x).  These limits keep the largest run
-# near 0.3-0.5 s of process time, 0.2-0.35 s of grid and 0.13-0.18 s of
-# random points; the round trip is capped at 10^4 points, about 4 ms,
-# whatever the command line asks for.
+# stays flat in the sweeps' size (tracemalloc peaks at the size limits: 0.8
+# MiB grid, 2.4 MiB random, 1.8 MiB round trip).  Their time does not: a grid
+# point costs about 0.02 us, a random point 0.11-0.12 us and a round trip
+# 0.33-0.5 us (best of 3, Python 3.11, numpy 2.4, one core of an x86-64 Xeon
+# VM whose speed drifts by up to 2x).  These limits keep the largest run near
+# 0.2-0.3 s of process time, about 0.09 s of grid and 0.11-0.12 s of random
+# points; the round trip is capped at 10^4 points, about 4 ms, whatever the
+# command line asks for.
 MIN_GRID_STEP = 1e-3  # a 2001 x 2001 grid
 MAX_SAMPLES = 1_000_000
 ROUNDTRIP_SPAN = 2.0  # round-trip entries are drawn from [-ROUNDTRIP_SPAN, ROUNDTRIP_SPAN]
@@ -43,20 +43,18 @@ DOUBLE_ANGLE_TOL = 1e-12  # largest deviation from the double-angle law that pas
 
 
 def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
-    """Sign of the smallest Jacobi eigenvalue of chi, elementwise over arrays.
-
-    The floor lets :func:`jacobi_batch` stop a point's sweeps once its
-    eigenvalue bounds settle the sign; the smallest diagonal entry it returns
-    then lies on the same side of -CP_TOL as the converged sweeps' would.
-    """
-    return jacobi_batch(*chi_matrix(lam1, lam2, w1, w2), floor=-CP_TOL).min(axis=0) >= -CP_TOL
+    """Whether the smallest converged Jacobi eigenvalue of chi reaches -CP_TOL, elementwise over arrays."""
+    return jacobi_batch(*chi_matrix(lam1, lam2, w1, w2)).min(axis=0) >= -CP_TOL
 
 
 def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
     """Closed form vs eigenvalue signs on the unital scale grid.
 
-    Returns (points, mismatches); the chi matrix is diagonal here, so the
-    comparison is exact and no boundary exclusions apply.
+    Returns (points, mismatches).  At zero shift chi is diagonal, so its
+    eigenvalues are its diagonal entries (d00, d11, d22), which
+    :func:`jacobi_batch` returns untouched: the sweep reads them off
+    :func:`chi_matrix` directly.  The comparison is exact and no boundary
+    exclusions apply.
     """
     if not MIN_GRID_STEP <= step <= 1.0:
         raise ValueError(f"grid step must be in [{MIN_GRID_STEP:g}, 1], got {step!r}")
@@ -67,7 +65,8 @@ def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
         k = np.arange(start, min(start + CHUNK, n * n))
         lam1, lam2 = axis[k // n], axis[k % n]
         closed, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0)
-        mismatches += int(np.count_nonzero(closed != _oracle_cp(lam1, lam2, 0.0, 0.0)))
+        d00, _, _, d11, _, d22 = chi_matrix(lam1, lam2)
+        mismatches += int(np.count_nonzero(closed != (np.minimum(np.minimum(d00, d11), d22) >= -CP_TOL)))
     return n * n, mismatches
 
 

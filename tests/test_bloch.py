@@ -107,6 +107,14 @@ def test_is_valid_state_reasons():
         assert ok
 
 
+@pytest.mark.parametrize(
+    "m", ["abc", [[0.5, 0], [0, "x"]], [[1, 2], [3]], {"a": 1}, [[10**400, 0], [0, 1]], np.array([[0.5, 0.3j], [-0.3j, 0.5]])]
+)
+def test_is_valid_state_answers_input_that_is_not_a_float_array(m):
+    ok, reason = is_valid_state(m)
+    assert not ok and "not a float array" in reason
+
+
 def test_roundtrip_on_polar_grid():
     for r in np.linspace(0.0, 1.0, 21):
         for theta in np.linspace(0.0, 2 * math.pi, 40, endpoint=False):

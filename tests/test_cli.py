@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,25 @@ def test_input_errors_exit_one(tmp_path, capsys):
         for command in ("check", "decompose", "classify"):
             code, out, err = run_cli(capsys, command, write_channel(tmp_path, doc, f"typed{index}.json"))
             assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"A": [[0.5, 0], [0, 0.5]], "w": [1e306, 0]},  # the ellipse's centre overflows the pixel scale
+        {"A": [[0.5, 0], [0, 0.5]], "w": [1e308, 1e308]},
+        {"A": [[0.5, 0], [0, 0]], "w": [-1e308, 1e308]},  # a segment
+        {"A": [[0, 0], [0, 0]], "w": [1e308, -1e308]},  # a point
+    ],
+)
+def test_image_of_a_far_shift_writes_finite_numbers_without_a_warning(tmp_path, capsys, doc):
+    out_path = tmp_path / "far.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(capsys, "image", write_channel(tmp_path, doc), "-o", str(out_path))
+    svg = out_path.read_text()
+    assert code == 0 and "inf" not in svg and "nan" not in svg
+    assert '="1000000000.0000"' in svg or '="-1000000000.0000"' in svg  # clamped far off the canvas
 
 
 def test_image_unwritable_path_exits_one(tmp_path, capsys):
