@@ -37,6 +37,7 @@ FLOATS = SimpleNamespace(
     maximum=max,
     minimum=min,
     all=bool,
+    any=bool,
     where=_where,
 )
 
@@ -113,21 +114,34 @@ def _live(a01, a02, a12, xp):
     return xp.maximum(xp.maximum(abs(a01), abs(a02)), abs(a12)) >= JACOBI_TOL
 
 
+def _freeze(a, xp):
+    """The final (a00, a11, a22) of cyclic Jacobi sweeps on a = (a00, a01, a02, a11, a12, a22), until no lane is live.
+
+    At most ``JACOBI_MAX_SWEEPS`` sweeps run.  A frozen lane keeps its entries
+    while the live ones sweep on, so each lane gets its bits alone; where
+    every lane is live, the sweep's entries are taken whole, as in :func:`_rotate`.
+    """
+    for _ in range(JACOBI_MAX_SWEEPS):
+        live = _live(a[1], a[2], a[4], xp)
+        every = xp.all(live)
+        if not (every or xp.any(live)):
+            break
+        new = _sweep(*a, xp)
+        a = new if every else tuple(xp.where(live, n, old) for n, old in zip(new, a))
+    return a[0], a[3], a[5]
+
+
 def eig_sym3(d00, d01, d02, d11, d12, d22) -> tuple[float, float, float]:
     """Eigenvalues of a symmetric 3x3 matrix given by its upper triangle, sorted descending.
 
     Cyclic Jacobi rotations, each annihilating one off-diagonal entry exactly,
     so the iteration is unconditionally stable.  A rotation is skipped where
     its entry is exactly 0, and the sweeps stop once the largest off-diagonal
-    entry is below ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps have run.
+    entry is below ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS`` sweeps have run
+    (:func:`_freeze`, the loop :func:`jacobi_batch` runs on arrays).
     Unchecked: an infinite entry gives infinite or NaN eigenvalues, no error.
     """
-    a = (d00, d01, d02, d11, d12, d22)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if not _live(a[1], a[2], a[4], FLOATS):
-            break
-        a = _sweep(*a, FLOATS)
-    return tuple(sorted((a[0], a[3], a[5]), reverse=True))
+    return tuple(sorted(_freeze((d00, d01, d02, d11, d12, d22), FLOATS), reverse=True))
 
 
 def jacobi_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
@@ -135,46 +149,23 @@ def jacobi_batch(d00, d01, d02, d11, d12, d22) -> np.ndarray:
 
     Takes :func:`eig_sym3`'s six upper-triangle entries, floats or arrays that
     broadcast against each other, and returns the final diagonals (a00, a11,
-    a22) as one array of shape (3, ...).  Every lane runs :func:`eig_sym3`'s
-    sweeps with the same bits, but only the live lanes stay in the arrays: a
-    lane that freezes writes its diagonal to the result and leaves, so the
-    later sweeps, which few lanes need, run on those lanes alone.  A caller
-    that reads only which side of a floor the smallest eigenvalue is on
-    settles most lanes first with :func:`floor_bounds` and sends only the
-    open ones here.
+    a22) as one array of shape (3, ...): :func:`eig_sym3`'s loop, run on the
+    whole arrays, so each lane gets its bits alone.  A caller that reads
+    only which side of a floor the smallest eigenvalue is on settles most
+    lanes first with :func:`floor_bounds` and sends only the open ones here.
     """
-    entries = np.broadcast_arrays(d00, d01, d02, d11, d12, d22)
-    shape = entries[0].shape
-    a = [np.asarray(x, dtype=float).reshape(-1) for x in entries]  # read only: every step makes new arrays
-    out = np.empty((3, a[0].size))
-    lanes = np.arange(a[0].size)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        stay = _live(a[1], a[2], a[4], np)
-        if not stay.all():
-            done = np.flatnonzero(~stay)
-            at = lanes.take(done)
-            for row, x in zip(out, (a[0], a[3], a[5])):
-                row[at] = x.take(done)
-            del done, at  # freed before the sweep, so that its temporaries do not sit on top of them
-            keep = np.flatnonzero(stay)
-            lanes = lanes.take(keep)
-            a = [x.take(keep) if np.ndim(x) else x for x in a]  # a12 may be the float 0.0
-            if not lanes.size:
-                break
-        with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
-            a = _sweep(*a, np)
-    for row, x in zip(out, (a[0], a[3], a[5])):
-        row[lanes] = x
-    return out.reshape((3,) + shape)
+    with np.errstate(over="ignore"):  # tau * tau may overflow to inf, as it does on floats
+        return np.stack(_freeze(np.broadcast_arrays(d00, d01, d02, d11, d12, d22), np))
 
 
 def floor_bounds(d00, d01, d02, d11, d12, d22, floor) -> tuple[np.ndarray, np.ndarray]:
     """Which side of ``floor`` the smallest eigenvalue is on, where eigenvalue inclusion bounds settle it, before any sweep.
 
     Takes :func:`jacobi_batch`'s six entries, floats or arrays that broadcast
-    against each other, and returns (above, open): ``above`` is True on the
-    lanes the bounds put at or above the floor, and ``open`` holds the flat
-    indices of the lanes they leave to the sweeps.  With Gershgorin's radii
+    against each other, and returns (above, open): ``above``, in the shape
+    they broadcast to, as every entry enters it, is True on the lanes the
+    bounds put at or above the floor, and ``open`` holds the flat indices of
+    the lanes they leave to the sweeps.  With Gershgorin's radii
     r_i = sum over j != i of |a_ij| and lo and hi the floor plus and minus
     the band FLOOR_BAND (1 + max |a_ii| + max r_i), a lane is above when
     every a_ii > lo and every pair of rows has (a_ii - lo)(a_jj - lo) >= r_i
@@ -188,7 +179,6 @@ def floor_bounds(d00, d01, d02, d11, d12, d22, floor) -> tuple[np.ndarray, np.nd
     the band's edge, every lane that Gershgorin's would, and more.  This is
     the one place a lane is settled by bounds; a NaN entry leaves it open.
     """
-    shape = np.broadcast_shapes(*(np.shape(d) for d in (d00, d01, d02, d11, d12, d22)))
     r0, r1, r2 = abs(d01) + abs(d02), abs(d01) + abs(d12), abs(d02) + abs(d12)  # Gershgorin's radii
     least = np.minimum(np.minimum(d00, d11), d22)
     band = np.maximum(np.maximum(np.maximum(d00, d11), d22), -least) + np.maximum(np.maximum(r0, r1), r2)
@@ -200,7 +190,7 @@ def floor_bounds(d00, d01, d02, d11, d12, d22, floor) -> tuple[np.ndarray, np.nd
     del x0, x1, x2, r0, r1, r2, lo, band  # so that the blocks' temporaries do not sit on top of them
     y0, y1, y2 = d00 - hi, d11 - hi, d22 - hi
     below = (least < hi) | (y0 * y1 < d01 * d01) | (y0 * y2 < d02 * d02) | (y1 * y2 < d12 * d12)
-    return np.broadcast_to(above, shape), np.flatnonzero(np.broadcast_to(~(above | below), shape))
+    return above, np.flatnonzero(~(above | below))
 
 
 def _peak_norm(s1, s2, a1, a2, xp):

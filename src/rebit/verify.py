@@ -2,11 +2,11 @@
 
 The sweeps here back both the ``verify`` CLI command and the acceptance test
 suite: the closed-form complete-positivity conditions are compared against
-the sign of the smallest Jacobi eigenvalue of the chi matrix over a unital
-grid and a random four-parameter sweep (where eigenvalue inclusion bounds
-settle most points' signs first), the factorization is round-tripped,
-and two analytic side facts (the determinant-implies-b implication and the
-orthogonal double-angle law) are spot checked.
+the sign of chi's smallest eigenvalue, read off its diagonal on a unital
+grid and from Jacobi sweeps on random (lam1, lam2, w1, w2) points (where
+eigenvalue inclusion bounds settle most points' signs first), the
+factorization is round-tripped, and two analytic side facts (determinant
+implies b, and the orthogonal double-angle law) are spot checked.
 """
 
 import math

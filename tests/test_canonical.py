@@ -103,6 +103,14 @@ def test_canonical_form_validates_convention():
         CanonicalForm(theta1=0.0, theta2=0.0, lam1=0.5, lam2=0.0, shift=np.zeros(3))
 
 
+def test_canonical_form_allows_lam2_past_lam1_by_sector_tol():
+    # SECTOR_TOL (1e-12) is the slack of lam1 >= |lam2|: 1e-13 past it passes, 1e-11 does not.
+    form = CanonicalForm(theta1=0.0, theta2=0.0, lam1=0.5, lam2=-(0.5 + 1e-13), shift=np.zeros(2))
+    assert form.lam2 == -(0.5 + 1e-13)
+    with pytest.raises(ValueError, match=r"lam1 >= \|lam2\|"):
+        CanonicalForm(theta1=0.0, theta2=0.0, lam1=0.5, lam2=-(0.5 + 1e-11), shift=np.zeros(2))
+
+
 def test_canonical_form_reduces_angles_to_one_turn():
     def angles(theta1, theta2):
         form = CanonicalForm(theta1=theta1, theta2=theta2, lam1=1.0, lam2=0.5, shift=(0.0, 0.0))

@@ -63,6 +63,15 @@ def test_apply_flags_positivity_violation_with_norm():
     assert info.value.norm == pytest.approx(1.5)
 
 
+def test_apply_allows_the_disk_to_stretch_by_positivity_tol():
+    # POSITIVITY_TOL (1e-9) is the overshoot past the disk that apply lets through.
+    pure = density_from_bloch([1.0, 0.0])
+    rho = apply(AffineChannel((1.0 + 1e-10) * np.eye(2), np.zeros(2)), pure)
+    assert np.trace(rho) == 1.0 and np.abs(rho - pure).max() <= 1e-10
+    with pytest.raises(NotPositiveError):
+        apply(AffineChannel((1.0 + 1e-8) * np.eye(2), np.zeros(2)), pure)
+
+
 def test_compose_identity_is_neutral():
     channel = AffineChannel(np.array([[0.3, 0.1], [-0.2, 0.5]]), np.array([0.05, -0.1]))
     for composed in (compose(IDENTITY, channel), compose(channel, IDENTITY)):
@@ -215,6 +224,12 @@ def test_is_unital():
     assert is_unital(IDENTITY)
     assert is_unital(AffineChannel(np.zeros((2, 2)), np.zeros(2)))
     assert not is_unital(AffineChannel(0.5 * np.eye(2), np.array([0.1, 0.0])))
+
+
+def test_is_unital_up_to_unital_tol():
+    # UNITAL_TOL (1e-12) bounds the shift's norm.
+    assert is_unital(AffineChannel(np.eye(2), np.array([1e-13, 0.0])))
+    assert not is_unital(AffineChannel(np.eye(2), np.array([1e-11, 0.0])))
 
 
 def test_channel_json_roundtrip():

@@ -293,6 +293,15 @@ def test_diagonal_frame_literal_for_diagonal_channels():
     assert diagonal_frame(DIAG(0.3, -0.7, 0.1, 0.0)) == (0.3, -0.7, 0.1, 0.0)
 
 
+def test_is_cp_reports_the_literal_frame_up_to_diagonal_tol():
+    # An off-diagonal entry within DIAGONAL_TOL (1e-12) keeps the literal
+    # q of diag(-0.5, 0.3); one of 1e-11 sends the channel through the
+    # factorization, whose frame (0.5, -0.3) orders q differently.
+    for off, q in [(1e-13, (0.4, 0.1, 0.9)), (1e-11, (0.6, 0.9, 0.1))]:
+        report = is_cp(AffineChannel(np.array([[-0.5, off], [0.0, 0.3]]), np.zeros(2)))
+        assert report.q == pytest.approx(q, abs=1e-9)
+
+
 def test_diagonal_frame_canonical_for_dressed_channels():
     a = rotation_matrix(0.4) @ np.diag([0.6, 0.2]) @ rotation_matrix(1.1)
     channel = AffineChannel(a, np.zeros(2))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,7 +318,7 @@ def sweeps_to_freeze(a):
     return sweeps
 
 
-def test_eig_sym3_batch_retires_lanes_that_freeze_at_different_sweeps():
+def test_eig_sym3_batch_keeps_lanes_that_freeze_at_different_sweeps():
     rng = np.random.default_rng(7)
     pool = [(1.0, 0.0, 0.0, 0.5, 0.0, -0.5), (1.0, 0.5, 0.0, 0.5, 0.0, -0.5)]  # 0 and 1 sweeps
     pool += [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(400)]
@@ -330,6 +331,26 @@ def test_eig_sym3_batch_retires_lanes_that_freeze_at_different_sweeps():
     batch = lanes + lanes[::-1] + lanes[1::2]  # freezing lanes sit between live ones
     assert batch_matches_scalar(batch)
     assert batch_matches_scalar(rng.permutation(np.array(pool, dtype=object)).tolist())
+
+
+def test_eig_sym3_batch_keeps_non_finite_lanes_beside_live_ones():
+    # A frozen lane is swept on beside the live ones and keeps its entries:
+    # an infinite diagonal with zero off-diagonals, a NaN off-diagonal (where
+    # _live reads False on both paths) and a live NaN diagonal sit between
+    # live lanes, and each lane, sorted as eig_sym3 sorts, is eig_sym3's,
+    # NaN for NaN, with no RuntimeWarning from the frozen lanes' arithmetic.
+    nan, inf = math.nan, math.inf
+    rng = np.random.default_rng(5)
+    live = [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(4)]
+    odd = [(inf, 0.0, 0.0, 1.0, 0.0, 0.5), (1.0, nan, 0.5, 2.0, 0.3, 0.5), (nan, 0.5, 0.2, 1.0, 0.1, 0.3)]
+    batch = [live[0], odd[0], live[1], odd[1], live[2], odd[2], live[3]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lanes = jacobi_batch(*stacked(batch)).T.tolist()
+        scalar = [eig_sym3(*m) for m in batch]
+    batched = [sorted(lane, reverse=True) for lane in lanes]
+    assert np.array_equal(np.array(batched).view(np.int64), np.array(scalar).view(np.int64))
+    assert math.isinf(scalar[1][0]) and all(map(math.isnan, scalar[5]))
 
 
 def test_eig_sym3_batch_broadcasts_scalar_entries():

@@ -241,9 +241,10 @@ def test_oracle_takes_the_smallest_of_the_sorted_eigenvalues():
 def test_random_sweep_runs_fewer_than_one_jacobi_sweep_per_point(monkeypatch):
     # Run to convergence, a random point takes about three sweeps.  Brauer's
     # ovals and the interlacing bound settle about 92 % of the points before
-    # any sweep, and the 8,282 they leave open at this seed run 26,165
-    # lane-sweeps, 3.16 a point, in one oracle call.  Rayleigh's and
-    # Gershgorin's bounds alone leave about 40 % open, which fails the bounds below.
+    # any sweep, and the 8,282 they leave open at this seed run 33,128
+    # lane-sweeps, 4 a point, in one oracle call: each sweep runs on every
+    # held lane until the last one freezes.  Rayleigh's and Gershgorin's
+    # bounds alone leave about 40 % open, which fails the bounds below.
     lane_sweeps = points = 0
     sweep, oracle = linalg._sweep, verify._oracle_cp
 
