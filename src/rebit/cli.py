@@ -9,8 +9,10 @@ has no ``Infinity`` or ``NaN``.
 """
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -99,9 +101,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.mismatches == 0 else EXIT_NOT_CP
 
 
+@functools.cache
+def _help_width() -> int:
+    """The width argparse's HelpFormatter reads when given none, read once per process.
+
+    Without it argparse asks the terminal for its size for every formatter it
+    builds: 21 times per parser, one for each argument and for the subparsers.
+    """
+    return shutil.get_terminal_size().columns - 2
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; only the help width is shared."""
+    formatter = functools.partial(argparse.HelpFormatter, width=_help_width())  # subparsers do not inherit it
     parser = argparse.ArgumentParser(
         prog="rebit",
+        formatter_class=formatter,
         description="Classify rebit channels: positivity checks, canonical "
         "factorization, taxonomy and Bloch-disk figures.",
     )
@@ -116,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sample", cmd_sample, "emit random CP channels as JSON lines"),
         ("verify", cmd_verify, "closed-form vs oracle verification sweeps"),
     ):
-        p[name] = sub.add_parser(name, help=text)
+        p[name] = sub.add_parser(name, help=text, formatter_class=formatter)
         p[name].set_defaults(func=func)
     for name in ("check", "decompose", "classify", "image"):
         p[name].add_argument("channel", help="path to a channel JSON document")

@@ -29,13 +29,21 @@ def _where(cond, if_true, if_false):
     return if_true if cond else if_false
 
 
+def _maximum(x, y):  # the builtin max(x, y), signed zeros included, but a NaN in either wins, as in np.maximum
+    return y if y > x or y != y else x
+
+
+def _minimum(x, y):  # the builtin min(x, y), signed zeros included, but a NaN in either wins, as in np.minimum
+    return y if y < x or y != y else x
+
+
 # numpy's names bound to math and builtins that round alike on finite inputs, so a kernel taking xp gives a lane
 # the same bits with FLOATS as with numpy.  arctan2, hypot, cos and sin do not: kernels call numpy's on every path.
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
     copysign=math.copysign,
-    maximum=max,
-    minimum=min,
+    maximum=_maximum,
+    minimum=_minimum,
     all=bool,
     any=bool,
     where=_where,

@@ -107,6 +107,13 @@ def test_is_valid_state_reasons():
         assert ok
 
 
+def test_is_valid_state_allows_asymmetry_up_to_struct_tol():
+    # STRUCT_TOL (1e-12) is the slack of m01 = m10: 1e-13 past it passes, 1e-11 does not.
+    assert is_valid_state(np.array([[0.6, 0.1], [0.1 + 1e-13, 0.4]])) == (True, None)
+    ok, reason = is_valid_state(np.array([[0.6, 0.1], [0.1 + 1e-11, 0.4]]))
+    assert not ok and "not symmetric" in reason
+
+
 @pytest.mark.parametrize(
     "m", ["abc", [[0.5, 0], [0, "x"]], [[1, 2], [3]], {"a": 1}, [[10**400, 0], [0, 1]], np.array([[0.5, 0.3j], [-0.3j, 0.5]])]
 )

@@ -110,6 +110,13 @@ def test_orthogonal_channel_identity():
     assert np.abs(orthogonal_channel(np.eye(2)).bloch_map - np.eye(2)).max() == 0.0
 
 
+def test_orthogonal_channel_allows_omega_off_by_ortho_tol():
+    # ORTHO_TOL (1e-12) bounds |Omega^t Omega - I|: a rotation scaled by 1 + 1e-14 passes, by 1 + 1e-11 does not.
+    assert orthogonal_channel(rotation_matrix(0.3) * (1.0 + 1e-14)).omega.shape == (2, 2)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        orthogonal_channel(rotation_matrix(0.3) * (1.0 + 1e-11))
+
+
 def test_orthogonal_channel_quarter_turn_flips_sigma1():
     chan = orthogonal_channel(rotation_matrix(math.pi / 2))
     assert np.abs(chan.bloch_map - rotation_matrix(math.pi)).max() < 1e-12

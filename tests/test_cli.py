@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rebit import cli
 from rebit.classify import sample_cp_channels
 from rebit.cli import main
 
@@ -210,6 +212,33 @@ def test_usage_errors_exit_one(capsys, argv):
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and out.startswith("usage: rebit")
+
+
+def test_two_parsers_ask_the_terminal_for_its_size_at_most_once(monkeypatch):
+    # argparse's HelpFormatter reads the terminal size whenever it is built with no width
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli._help_width.cache_clear()
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("columns, wide", [(None, False), ("150", True)])
+def test_help_follows_the_terminal_width(columns, wide):
+    # off a terminal argparse formats to 78 columns, and COLUMNS still widens the help though the width is read once
+    path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "COLUMNS"}
+    env.update(PYTHONPATH=path, **({"COLUMNS": columns} if columns else {}))
+    proc = subprocess.run([sys.executable, "-m", "rebit.cli", "--help"], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: rebit")
+    assert any(len(line) > 78 for line in proc.stdout.decode().splitlines()) == wide
 
 
 def test_input_errors_exit_one(tmp_path, capsys):

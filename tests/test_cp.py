@@ -548,6 +548,12 @@ def test_canonical_frame_gives_floats_and_arrays_the_same_bits():
     assert math.copysign(1.0, canonical_frame(-0.5, 0.0, 0.0, 0.0, FLOATS)[1]) == 1.0
 
 
+def test_canonical_frame_ties_reflections_up_to_tie_tol():
+    # TIE_TOL (1e-12) bounds lam1 + lam2 of a tied reflection: at 1e-13 the shift moves onto the first axis, at 1e-11 it stays.
+    assert canonical_frame(0.5, -0.5 + 1e-13, 0.0, 0.3, FLOATS)[2:] == (0.3, 0.0)
+    assert canonical_frame(0.5, -0.5 + 1e-11, 0.0, 0.3, FLOATS)[2:] == (0.0, 0.3)
+
+
 def test_decide_gives_floats_and_arrays_the_same_bits():
     frames = [canonical_frame(*frame, FLOATS) for frame in fold_frames()]
     columns = [np.array(column) for column in zip(*frames)]

@@ -335,15 +335,22 @@ def test_eig_sym3_batch_keeps_lanes_that_freeze_at_different_sweeps():
 
 def test_eig_sym3_batch_keeps_non_finite_lanes_beside_live_ones():
     # A frozen lane is swept on beside the live ones and keeps its entries:
-    # an infinite diagonal with zero off-diagonals, a NaN off-diagonal (where
-    # _live reads False on both paths) and a live NaN diagonal sit between
-    # live lanes, and each lane, sorted as eig_sym3 sorts, is eig_sym3's,
-    # NaN for NaN, with no RuntimeWarning from the frozen lanes' arithmetic.
+    # an infinite diagonal with zero off-diagonals, a NaN in each of the three
+    # off-diagonal entries (where _live reads False on both paths, FLOATS'
+    # maximum keeping a NaN as np.maximum does) and a live NaN diagonal sit
+    # between live lanes, and each lane, sorted as eig_sym3 sorts, is
+    # eig_sym3's, NaN for NaN, with no RuntimeWarning from the frozen lanes' arithmetic.
     nan, inf = math.nan, math.inf
     rng = np.random.default_rng(5)
-    live = [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(4)]
-    odd = [(inf, 0.0, 0.0, 1.0, 0.0, 0.5), (1.0, nan, 0.5, 2.0, 0.3, 0.5), (nan, 0.5, 0.2, 1.0, 0.1, 0.3)]
-    batch = [live[0], odd[0], live[1], odd[1], live[2], odd[2], live[3]]
+    live = [chi_matrix(*rng.uniform(-1.0, 1.0, 4)) for _ in range(6)]
+    odd = [
+        (inf, 0.0, 0.0, 1.0, 0.0, 0.5),
+        (1.0, nan, 0.5, 2.0, 0.3, 0.5),
+        (nan, 0.5, 0.2, 1.0, 0.1, 0.3),
+        (1.0, 0.5, nan, 2.0, 0.3, 0.5),
+        (1.0, 0.5, 0.2, 2.0, nan, 0.5),
+    ]
+    batch = [live[0], odd[0], live[1], odd[1], live[2], odd[2], live[3], odd[3], live[4], odd[4], live[5]]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         lanes = jacobi_batch(*stacked(batch)).T.tolist()
@@ -351,6 +358,7 @@ def test_eig_sym3_batch_keeps_non_finite_lanes_beside_live_ones():
     batched = [sorted(lane, reverse=True) for lane in lanes]
     assert np.array_equal(np.array(batched).view(np.int64), np.array(scalar).view(np.int64))
     assert math.isinf(scalar[1][0]) and all(map(math.isnan, scalar[5]))
+    assert scalar[7] == scalar[9] == (2.0, 1.0, 0.5)  # frozen at once: the diagonal, sorted
 
 
 def test_eig_sym3_batch_broadcasts_scalar_entries():

@@ -11,7 +11,7 @@ import pytest
 import rebit.linalg as linalg
 import rebit.verify as verify
 from rebit.bloch import density_from_bloch
-from rebit.canonical import decompose_channel, factorize, reconstruction_residual
+from rebit.canonical import decompose_channel, factorize, rebuild, reconstruction_residual
 from rebit.cli import main
 from rebit.channel import AffineChannel, OrthogonalChannel, orthogonal_channel
 from rebit.cp import CP_TOL, charpoly_coeffs, chi_matrix, closed_form_verdict, q_values
@@ -383,6 +383,18 @@ def test_a_wrong_factorization_fails_verify(monkeypatch, wrong):
     assert report.max_roundtrip_residual > 1e-10
 
 
+def rebuild_off_in_a00(*factors):
+    a00, *rest = rebuild(*factors)
+    return (a00 + 1e-9, *rest)
+
+
+def test_verify_fails_a_rebuild_off_by_more_than_roundtrip_tol(monkeypatch):
+    # ROUNDTRIP_TOL (1e-10) bounds the round-trip residual: a rebuild off by 1e-9 in a00 is a mismatch.
+    assert run_verify(grid_step=0.5, samples=100, seed=0).mismatches == 0
+    monkeypatch.setattr(verify, "rebuild", rebuild_off_in_a00)
+    assert run_verify(grid_step=0.5, samples=100, seed=0).mismatches >= 1
+
+
 def nan_in_one_lam1(*entries):
     theta1, theta2, lam1, lam2, s0, s1 = factorize(*entries)
     lam1 = lam1.copy()
@@ -478,6 +490,18 @@ def test_double_angle_sweep_counts_failures_as_the_reference_does(monkeypatch):
     assert 0 < failures < 100
     assert failures == double_angle_reference(100, 3)[0]
     assert worst == pytest.approx(double_angle_reference(100, 3)[1], abs=1e-15)
+
+
+def test_double_angle_sweep_fails_a_bloch_map_off_by_more_than_double_angle_tol(monkeypatch):
+    # DOUBLE_ANGLE_TOL (1e-12) bounds the deviation from the double-angle law: a Bloch map off by 1e-10 fails everywhere.
+    assert verify.double_angle_sweep(100, 0)[0] == 0
+
+    def off_everywhere(omega):
+        chan = orthogonal_channel(omega)
+        return OrthogonalChannel(chan.omega, chan.bloch_map + 1e-10)
+
+    monkeypatch.setattr(verify, "orthogonal_channel", off_everywhere)
+    assert verify.double_angle_sweep(100, 0)[0] == 100
 
 
 def test_double_angle_draw_equals_the_per_point_draws():
