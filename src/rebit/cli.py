@@ -111,8 +111,35 @@ def _help_width() -> int:
     return shutil.get_terminal_size().columns - 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call; only the help width is shared."""
+_CHANNEL = (("channel",), {"help": "path to a channel JSON document"})
+_OUTPUT = (("-o", "--output"), {"required": True, "help": "output SVG path"})
+_SEED = (("--seed",), {"type": int, "default": 0})
+
+_COMMANDS = {  # name: (function, help, (flags, add_argument options) of each argument)
+    "check": (cmd_check, "complete-positivity report for a channel file", (_CHANNEL,)),
+    "decompose": (cmd_decompose, "canonical rotation-diagonal-rotation form", (_CHANNEL,)),
+    "classify": (cmd_classify, "taxonomy family and Kraus rank (CP channels only)", (_CHANNEL,)),
+    "image": (cmd_image, "render the image of the Bloch disk as SVG", (_CHANNEL, _OUTPUT)),
+    "region": (cmd_region, "render the admissibility pentagon as SVG", (_OUTPUT,)),
+    "sample": (cmd_sample, "emit random CP channels as JSON lines", (
+        (("--count",), {"type": int, "default": 1}),
+        _SEED,
+        (("--unital",), {"action": "store_true", "help": "sample zero-shift channels"}),
+    )),
+    "verify": (cmd_verify, "closed-form vs oracle verification sweeps", (
+        (("--grid-step",), {"type": float, "default": 0.01}),
+        (("--samples",), {"type": int, "default": 100_000}),
+        _SEED,
+    )),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """A new parser on every call; only the help width is shared.
+
+    Given a command name, the parser holds that command's subparser alone:
+    it parses a well-formed request to that command as the full parser does.
+    """
     formatter = functools.partial(argparse.HelpFormatter, width=_help_width())  # subparsers do not inherit it
     parser = argparse.ArgumentParser(
         prog="rebit",
@@ -121,34 +148,33 @@ def build_parser() -> argparse.ArgumentParser:
         "factorization, taxonomy and Bloch-disk figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = {}
-    for name, func, text in (
-        ("check", cmd_check, "complete-positivity report for a channel file"),
-        ("decompose", cmd_decompose, "canonical rotation-diagonal-rotation form"),
-        ("classify", cmd_classify, "taxonomy family and Kraus rank (CP channels only)"),
-        ("image", cmd_image, "render the image of the Bloch disk as SVG"),
-        ("region", cmd_region, "render the admissibility pentagon as SVG"),
-        ("sample", cmd_sample, "emit random CP channels as JSON lines"),
-        ("verify", cmd_verify, "closed-form vs oracle verification sweeps"),
-    ):
-        p[name] = sub.add_parser(name, help=text, formatter_class=formatter)
-        p[name].set_defaults(func=func)
-    for name in ("check", "decompose", "classify", "image"):
-        p[name].add_argument("channel", help="path to a channel JSON document")
-    for name in ("image", "region"):
-        p[name].add_argument("-o", "--output", required=True, help="output SVG path")
-    p["sample"].add_argument("--count", type=int, default=1)
-    p["sample"].add_argument("--seed", type=int, default=0)
-    p["sample"].add_argument("--unital", action="store_true", help="sample zero-shift channels")
-    p["verify"].add_argument("--grid-step", type=float, default=0.01)
-    p["verify"].add_argument("--samples", type=int, default=100_000)
-    p["verify"].add_argument("--seed", type=int, default=0)
+    for name, (func, text, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text, formatter_class=formatter)
+            p.set_defaults(func=func)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse as ``build_parser().parse_args(argv)`` does, building one subparser where it can.
+
+    A request whose first word is a command goes to the parser of that command
+    alone.  Anything that parser leaves over, and any other argv, goes to the
+    full parser, so every help, usage and error text comes from the parser
+    that prints it with all commands built.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse has printed the help (code 0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     if getattr(args, "count", 1) < 1:

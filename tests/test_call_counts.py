@@ -1,11 +1,15 @@
 """Each CLI request factorizes its channel at most once and runs the eigen oracle at most once.
 
+A well-formed request builds two argparse parsers, the top one and its
+command's; help, an unknown command and a usage error build all eight.
+
 Counting wrappers replace every ``rebit.*`` module binding of the counted
 functions: ``from .canonical import decompose_channel`` copies the function
 into the importing module, so patching the defining module alone would miss
 the calls made through those copies.
 """
 
+import argparse
 import json
 import sys
 from collections import Counter
@@ -61,3 +65,43 @@ def test_one_factorization_and_one_oracle_call_per_request(tmp_path, capsys, cal
     capsys.readouterr()
     assert calls["decompose_channel"] <= 1, f"{command} factorized {calls['decompose_channel']} times"
     assert calls["eig_sym3"] <= 1, f"{command} ran the eigen oracle {calls['eig_sym3']} times"
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, _original=original, **kwargs):
+        built.append(kwargs.get("prog"))
+        return _original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("command, options", [
+    ("check", []), ("decompose", []), ("classify", []), ("image", ["-o", "out.svg"]), ("region", ["-o", "out.svg"]),
+    ("sample", ["--count", "2", "--seed", "1", "--unital"]), ("verify", ["--grid-step", "0.5", "--samples", "300"]),
+])
+def test_a_well_formed_request_builds_two_parsers(tmp_path, capsys, parsers, command, options):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(CHANNELS["cp"][0]))
+    positional = [str(path)] if command in ("check", "decompose", "classify", "image") else []
+    options = [str(tmp_path / value) if value == "out.svg" else value for value in options]
+    assert rebit.cli.main([command, *positional, *options]) == 0
+    capsys.readouterr()
+    assert parsers == ["rebit", f"rebit {command}"]
+
+
+@pytest.mark.parametrize("argv, code, count", [
+    (["--help"], 0, 8),
+    (["bogus"], 1, 8),
+    (["check", "f.json", "extra"], 1, 10),  # the command's parser leaves "extra" over; the full parser refuses it
+])
+def test_help_and_usage_errors_build_the_full_parser(capsys, parsers, argv, code, count):
+    assert rebit.cli.main(argv) == code
+    printed = capsys.readouterr()
+    assert len(parsers) == count
+    text = printed.out if code == 0 else printed.err
+    assert text.startswith("usage: rebit [-h]") and "{check,decompose,classify,image,region,sample,verify}" in text

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -228,6 +231,48 @@ def test_two_parsers_ask_the_terminal_for_its_size_at_most_once(monkeypatch):
     first, second = cli.build_parser(), cli.build_parser()
     assert first is not second
     assert len(calls) <= 1
+
+
+COMMAND_NAMES = ("check", "decompose", "classify", "image", "region", "sample", "verify")
+ARGV_TOKENS = (  # every option, values good and bad, help, abbreviations and strays
+    "--count", "--seed", "--unital", "--grid-step", "--samples", "-o", "--output",
+    "3", "0", "-1", "0.5", "abc", "f.json", "-h", "--help", "--", "--co", "--s", "--output=z",
+    "stray", "-x", "sample", "chec",
+)
+
+
+def argv_corpus(count=400, seed=0):
+    """Seeded argvs: most a command and 0-4 tokens, the rest starting with anything but a command."""
+    rng = random.Random(seed)
+    corpus = []
+    for index in range(count):
+        tail = [rng.choice(ARGV_TOKENS) for _ in range(rng.randint(0, 4))]
+        if index % 8:
+            corpus.append([rng.choice(COMMAND_NAMES)] + tail)
+        else:
+            corpus.append([token for token in tail if token not in COMMAND_NAMES])
+    return corpus
+
+
+def parse_outcome(parse, argv):
+    """The namespace a parse gives (functions by name), or its exit code; with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    return "args", {key: getattr(value, "__name__", value) for key, value in vars(args).items()}, out.getvalue(), err.getvalue()
+
+
+def test_one_command_parser_parses_as_the_full_parser():
+    # the parser built for argv[0] alone, with the full parser for what it leaves over, is invisible
+    outcomes = []
+    for argv in argv_corpus():
+        outcome = parse_outcome(cli.parse_args, argv)
+        assert outcome == parse_outcome(lambda argv: cli.build_parser().parse_args(argv), argv), argv
+        outcomes.append(outcome[:2] if outcome[0] == "exit" else outcome[0])
+    assert {"args", ("exit", 0), ("exit", 2)} <= set(outcomes)  # requests parsed, help printed and usage errors
 
 
 @pytest.mark.parametrize("columns, wide", [(None, False), ("150", True)])

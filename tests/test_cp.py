@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rebit.linalg
 from rebit.bloch import SIGMA_0, SIGMA_1, SIGMA_2
 from rebit.channel import AffineChannel, as_affine, compose, orthogonal_channel
 from rebit.classify import ellipse_peak_norm
@@ -552,6 +554,24 @@ def test_canonical_frame_ties_reflections_up_to_tie_tol():
     # TIE_TOL (1e-12) bounds lam1 + lam2 of a tied reflection: at 1e-13 the shift moves onto the first axis, at 1e-11 it stays.
     assert canonical_frame(0.5, -0.5 + 1e-13, 0.0, 0.3, FLOATS)[2:] == (0.3, 0.0)
     assert canonical_frame(0.5, -0.5 + 1e-11, 0.0, 0.3, FLOATS)[2:] == (0.0, 0.3)
+
+
+def test_decide_settles_by_bounds_outside_the_peak_band(monkeypatch):
+    # PEAK_BAND (1e-9) is how far a bound must clear (1 + tol)^2 to decide: the upper bound
+    # of this image's squared peak norm, (1 - 5e-8)^2, clears it, so no Newton peak norm runs.
+    newton = []
+    original = rebit.linalg._peak_norm
+
+    def counted(*args):
+        newton.append(args)
+        return original(*args)
+
+    for module in [m for name, m in sys.modules.items() if name == "rebit" or name.startswith("rebit.")]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    assert is_cp(DIAG(0.5, 0.0, 0.5 - 5e-8, 0.0)).is_cp
+    assert newton == []
 
 
 def test_decide_gives_floats_and_arrays_the_same_bits():
