@@ -137,8 +137,10 @@ _COMMANDS = {  # name: (function, help, (flags, add_argument options) of each ar
 def build_parser(command=None) -> argparse.ArgumentParser:
     """A new parser on every call; only the help width is shared.
 
-    Given a command name, the parser holds that command's subparser alone:
-    it parses a well-formed request to that command as the full parser does.
+    Given a command name, the parser holds that command's subparser alone and
+    parses any argv that starts with that name as the full parser does: the
+    choice list all commands would give stands in the usage, so a usage error
+    prints the full parser's text.
     """
     formatter = functools.partial(argparse.HelpFormatter, width=_help_width())  # subparsers do not inherit it
     parser = argparse.ArgumentParser(
@@ -147,7 +149,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         description="Classify rebit channels: positivity checks, canonical "
         "factorization, taxonomy and Bloch-disk figures.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    choices = None if command is None else "{" + ",".join(_COMMANDS) + "}"  # a metavar would rename the full parser's errors
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
     for name, (func, text, arguments) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=text, formatter_class=formatter)
@@ -158,18 +161,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse as ``build_parser().parse_args(argv)`` does, building one subparser where it can.
-
-    A request whose first word is a command goes to the parser of that command
-    alone.  Anything that parser leaves over, and any other argv, goes to the
-    full parser, so every help, usage and error text comes from the parser
-    that prints it with all commands built.
-    """
-    if argv and argv[0] in _COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    """``build_parser().parse_args(argv)``, building only the subparser of a command that comes first."""
+    return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
 
 
 def main(argv=None) -> int:

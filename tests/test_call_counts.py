@@ -1,7 +1,7 @@
 """Each CLI request factorizes its channel at most once and runs the eigen oracle at most once.
 
-A well-formed request builds two argparse parsers, the top one and its
-command's; help, an unknown command and a usage error build all eight.
+Parsers built per argv, first word a command: 2 parsers (the top one and
+that command's, whether the argv parses or not); anything else: 8.
 
 Counting wrappers replace every ``rebit.*`` module binding of the counted
 functions: ``from .canonical import decompose_channel`` copies the function
@@ -94,14 +94,25 @@ def test_a_well_formed_request_builds_two_parsers(tmp_path, capsys, parsers, com
     assert parsers == ["rebit", f"rebit {command}"]
 
 
+def is_full_usage(text):
+    """Whether the text starts with the usage of the parser that holds all seven commands."""
+    return text.startswith("usage: rebit [-h]") and "{check,decompose,classify,image,region,sample,verify}" in text
+
+
+def test_what_a_command_leaves_over_builds_two_parsers_and_prints_the_full_usage(capsys, parsers):
+    assert rebit.cli.main(["check", "f.json", "extra"]) == 1
+    assert parsers == ["rebit", "rebit check"]
+    assert is_full_usage(capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv, code, count", [
     (["--help"], 0, 8),
     (["bogus"], 1, 8),
-    (["check", "f.json", "extra"], 1, 10),  # the command's parser leaves "extra" over; the full parser refuses it
+    ([], 1, 8),
+    (["-x"], 1, 8),
 ])
 def test_help_and_usage_errors_build_the_full_parser(capsys, parsers, argv, code, count):
     assert rebit.cli.main(argv) == code
     printed = capsys.readouterr()
     assert len(parsers) == count
-    text = printed.out if code == 0 else printed.err
-    assert text.startswith("usage: rebit [-h]") and "{check,decompose,classify,image,region,sample,verify}" in text
+    assert is_full_usage(printed.out if code == 0 else printed.err)

@@ -266,13 +266,28 @@ def parse_outcome(parse, argv):
 
 
 def test_one_command_parser_parses_as_the_full_parser():
-    # the parser built for argv[0] alone, with the full parser for what it leaves over, is invisible
+    # the parser built for argv[0] alone is invisible: its choice list prints the usage the full parser does
     outcomes = []
     for argv in argv_corpus():
         outcome = parse_outcome(cli.parse_args, argv)
         assert outcome == parse_outcome(lambda argv: cli.build_parser().parse_args(argv), argv), argv
         outcomes.append(outcome[:2] if outcome[0] == "exit" else outcome[0])
     assert {"args", ("exit", 0), ("exit", 2)} <= set(outcomes)  # requests parsed, help printed and usage errors
+
+
+@pytest.mark.parametrize("columns", ["48", "148"])
+def test_one_command_parser_prints_as_the_full_parser_at_any_width(monkeypatch, columns):
+    # argparse wraps the usage and help to the width; namespaces do not depend on it, so only exits are compared
+    monkeypatch.setenv("COLUMNS", columns)
+    cli._help_width.cache_clear()
+    try:
+        full = cli.build_parser()  # parsing leaves a parser as it was, so one serves every argv
+        for argv in argv_corpus():
+            outcome = parse_outcome(cli.parse_args, argv)
+            if outcome[0] == "exit":
+                assert outcome == parse_outcome(full.parse_args, argv), argv
+    finally:
+        cli._help_width.cache_clear()
 
 
 @pytest.mark.parametrize("columns, wide", [(None, False), ("150", True)])

@@ -369,6 +369,15 @@ def test_eig_sym3_batch_broadcasts_scalar_entries():
     assert eig_sym3_batch(np.empty(0), 0.0, 0.0, 0.0, 0.0, 0.0).shape == (0, 3)
 
 
+@pytest.mark.parametrize("e", [5e-12, 3e-13, 2e-14])
+def test_eig_sym3_rotates_an_off_diagonal_entry_just_above_jacobi_tol(e):
+    # eigenvalues 1 + e, 1 - e and 1/2: a tolerance above e would freeze the diagonal (1, 1, 1/2), off by e
+    m = (1.0, e, 0.0, 1.0, 0.0, 0.5)
+    expected = np.linalg.eigvalsh(full(m))[::-1]
+    assert np.abs(np.array(eig_sym3(*m)) - expected).max() <= 1e-15
+    assert np.abs(eig_sym3_batch(*m) - expected).max() <= 1e-15
+
+
 def test_eig_sym3_coupled_block():
     # half of [[1,0,1],[0,1,0],[1,0,1]]: 2x2 block gives {1, 0}, middle 1/2
     e = eig_sym3(0.5, 0.0, 0.5, 0.5, 0.0, 0.5)
