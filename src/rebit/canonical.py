@@ -76,21 +76,16 @@ def factorize(a00, a01, a10, a11, w0, w1, xp=FLOATS):
     q = 0.0 + a00 * a01 + a10 * a11
     r = a01 * a01 + a11 * a11
     half = 0.5 * np.arctan2(2.0 * q, p - r)
-    del p, q, r  # each temporary goes once used: on arrays, every one is a chunk
     c, s = np.cos(half), np.sin(half)
-    del half
     y10, y11 = a00 * c + a01 * s, a10 * c + a11 * s  # A @ (c, s)
     y20, y21 = a01 * c - a00 * s, a11 * c - a10 * s  # A @ (-s, c)
     lam1 = np.hypot(y10, y11)
     zero = lam1 == 0.0
     norm = xp.where(zero, 1.0, lam1)
     u0, u1 = y10 / norm, y11 / norm
-    del y10, y11, norm
     d = 0.0 - u1 * y20 + u0 * y21
-    del y20, y21
     size = abs(d)
     lam2 = xp.where(zero, 0.0, xp.copysign(xp.where(lam1 < size, lam1, size), d))
-    del d, size
     theta1 = xp.where(zero, 0.0, np.arctan2(u1, u0)) % TAU
     theta2 = xp.where(zero, 0.0, np.arctan2(-s, c)) % TAU
     c1, s1 = np.cos(theta1), np.sin(theta1)

@@ -16,8 +16,16 @@ import numpy as np
 
 from .bloch import SIGMA_1, SIGMA_2, _assemble_density, bloch_from_density
 
+# Largest shift norm of a unital channel: the structural slack of the state and channel modules
+# (bloch.STRUCT_TOL); chosen, not derived; bound by test_is_unital_up_to_unital_tol.  classify's
+# zero-shift test uses CLASS_TOL instead, a spec question (README "Conventions").
 UNITAL_TOL = 1e-12
+# Largest entry of |Omega^t Omega - I| that orthogonal_channel accepts: about 4500 times the 2.2e-16
+# that rotation_matrix's cos and sin leave there, so every rotation passes; chosen, not derived;
+# bound by test_orthogonal_channel_allows_omega_off_by_ortho_tol.
 ORTHO_TOL = 1e-12
+# Overshoot past the disk that apply lets through: CP_TOL's size, the slack by which is_cp lets an
+# image's peak norm pass 1; chosen, not derived; bound by test_apply_allows_the_disk_to_stretch_by_positivity_tol.
 POSITIVITY_TOL = 1e-9
 _SIGMAS = np.stack((SIGMA_1, SIGMA_2))
 

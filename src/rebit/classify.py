@@ -21,6 +21,8 @@ from .channel import AffineChannel, _frozen_array
 from .cp import CpReport, canonical_frame, canonical_scales, closed_form_verdict, decide, is_cp
 from .linalg import FLOATS, TAU, _peak_norm
 
+# Slack of every family match and of the zero-shift decision: CP_TOL's size; chosen, not derived;
+# bound by test_classify_makes_one_zero_shift_decision.
 CLASS_TOL = 1e-9
 
 HORIZONTAL = "horizontal"

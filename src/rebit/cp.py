@@ -35,6 +35,9 @@ from .linalg import FLOATS, _peak_norm, eig_sym3
 
 CP_TOL = 1e-9  # one-sided boundary slack: the admissible region is closed
 PEAK_BAND = 1e-9  # band around (1 + tol)^2 in which decide's bounds on the squared peak norm defer to Newton
+# Off-diagonal size up to which diagonal_frame reads A literally: the structural slack of the state and
+# channel modules (bloch.STRUCT_TOL); chosen, not derived; bound by
+# test_is_cp_reports_the_literal_frame_up_to_diagonal_tol.
 DIAGONAL_TOL = 1e-12
 TIE_TOL = 1e-12  # lam1 + lam2 at or below which a reflection's two scales tie
 

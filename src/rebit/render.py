@@ -15,6 +15,8 @@ from .cp import admissible_pentagon
 VIEW = 512
 CX = CY = VIEW // 2
 DISK_R = 200.0
+# Semi-axis at or below which the image is drawn as a segment (a point, when both are): CP_TOL's size,
+# 2e-7 px at DISK_R; chosen, not derived; no test binds it (the tests' rank-one image has an exact 0).
 DEGENERATE_AXIS = 1e-9
 
 _STYLE = """\

@@ -2,10 +2,10 @@
 
 The sweeps here back both the ``verify`` CLI command and the acceptance test
 suite: the closed-form complete-positivity conditions are compared against
-the sign of chi's smallest eigenvalue, read off its diagonal on a unital
-grid and from Jacobi sweeps on random (lam1, lam2, w1, w2) points (where
-eigenvalue inclusion bounds settle most points' signs first), the
-factorization is round-tripped, and two analytic side facts (determinant
+the paper's admissible pentagon on a unital grid and against the sign of
+chi's smallest eigenvalue, from Jacobi sweeps, on random (lam1, lam2, w1, w2)
+points (where eigenvalue inclusion bounds settle most points' signs first),
+the factorization is round-tripped, and two analytic side facts (determinant
 implies b, and the orthogonal double-angle law) are spot checked.
 """
 
@@ -18,17 +18,20 @@ import numpy as np
 from .bloch import density_from_bloch
 from .canonical import factorize, rebuild
 from .channel import orthogonal_channel
-from .cp import CP_TOL, _charpoly_from_margin, chi_matrix, closed_form_verdict
+from .cp import CP_TOL, _charpoly_from_margin, admissible_pentagon, chi_matrix, closed_form_verdict
 from .linalg import floor_bounds, jacobi_batch, rotation_matrix
 
+# Distance of |margin| or the smallest |q| from 0 within which a disagreement counts as excluded, not
+# as a mismatch: 100 times CP_TOL; chosen, not derived; no test binds it, and it excludes no point
+# of run_verify on seeds 0-3 or at the size limits.
 BOUNDARY_BAND = 1e-7
 CHUNK = 8192  # points per array evaluation in every sweep but the double-angle one
 # The grid, random and round-trip sweeps evaluate CHUNK points at a time,
 # random points are drawn chunk by chunk from one generator (the same stream
 # as one up-front draw), and the random points that the eigenvalue bounds
 # leave open go to the oracle whenever CHUNK of them are held, so memory
-# stays flat in the sweeps' size (tracemalloc peaks at the size limits: 0.8
-# MiB grid, 2.4 MiB random, 1.8 MiB round trip).  Their time does not: a grid
+# stays flat in the sweeps' size (tracemalloc peaks at the size limits: 0.72
+# MiB grid, 2.4 MiB random, 1.95 MiB round trip).  Their time does not: a grid
 # point costs about 0.02 us, a random point 0.11-0.12 us and a round trip
 # 0.33-0.5 us (best of 3, Python 3.11, numpy 2.4, one core of an x86-64 Xeon
 # VM whose speed drifts by up to 2x).  These limits keep the largest run near
@@ -47,26 +50,46 @@ def _oracle_cp(lam1, lam2, w1, w2) -> np.ndarray:
     return jacobi_batch(*chi_matrix(lam1, lam2, w1, w2)).min(axis=0) >= -CP_TOL
 
 
-def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
-    """Closed form vs eigenvalue signs on the unital scale grid.
+def _pentagon_edges() -> tuple[np.ndarray, np.ndarray]:
+    """(normals, floors) of :func:`rebit.cp.admissible_pentagon`'s edges, shapes (5, 2) and (5, 1).
 
-    Returns (points, mismatches).  At zero shift chi is diagonal, so its
-    eigenvalues are its diagonal entries (d00, d11, d22), which
-    :func:`jacobi_batch` returns untouched: the sweep reads them off
-    :func:`chi_matrix` directly.  The comparison is exact and no boundary
+    A point p = (lam1, lam2) lies in the polygon of the vertices when it lies
+    left of every counterclockwise edge e from a vertex v, up to ``CP_TOL``
+    times the edge's length: the cross product e x (p - v), which is n . p -
+    n . v with the normal n = (-e_y, e_x), is at least -CP_TOL |e|.  So p is
+    inside where ``normals @ p >= floors`` on every row.  Built from the
+    vertices alone, it shares no code with the q-values or with chi.
+    """
+    vertices = admissible_pentagon()
+    starts = np.array(vertices)
+    ex, ey = (np.array(vertices[1:] + vertices[:1]) - starts).T
+    normals = np.stack([-ey, ex], axis=1)
+    return normals, ((normals * starts).sum(axis=1) - CP_TOL * np.hypot(ex, ey))[:, None]
+
+
+def unital_grid_sweep(step: float = 0.01) -> tuple[int, int]:
+    """Closed form at zero shift vs the admissible pentagon on the unital scale grid.
+
+    Returns (points, mismatches).  Each grid point's closed-form verdict is
+    compared with a point-in-polygon test on :func:`_pentagon_edges`, the
+    paper's region built from its vertices, so a q-value formula that is
+    wrong in :func:`rebit.cp.q_values` and in :func:`chi_matrix` alike still
+    shows.  On the grid square [-1, 1]^2 the two regions are the same but for
+    their slack at the edges, which no grid point falls in, so no boundary
     exclusions apply.
     """
     if not MIN_GRID_STEP <= step <= 1.0:
         raise ValueError(f"grid step must be in [{MIN_GRID_STEP:g}, 1], got {step!r}")
     n = round(2.0 / step) + 1
     axis = np.linspace(-1.0, 1.0, n)
+    normals, floors = _pentagon_edges()
     mismatches = 0
     for start in range(0, n * n, CHUNK):
         k = np.arange(start, min(start + CHUNK, n * n))
         lam1, lam2 = axis[k // n], axis[k % n]
         closed, _, _ = closed_form_verdict(lam1, lam2, 0.0, 0.0)
-        d00, _, _, d11, _, d22 = chi_matrix(lam1, lam2)
-        mismatches += int(np.count_nonzero(closed != (np.minimum(np.minimum(d00, d11), d22) >= -CP_TOL)))
+        inside = (normals @ np.stack([lam1, lam2]) >= floors).all(axis=0)
+        mismatches += int(np.count_nonzero(closed != inside))
     return n * n, mismatches
 
 

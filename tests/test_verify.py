@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rebit.cp as cp
 import rebit.linalg as linalg
 import rebit.verify as verify
 from rebit.bloch import density_from_bloch
@@ -87,14 +88,35 @@ def test_unital_grid_sweep_matches_scalar_reference(step):
 
 
 def test_jacobi_batch_returns_the_unital_grid_chi_diagonal_bit_for_bit():
-    # unital_grid_sweep reads the eigenvalues of chi at zero shift off its
-    # diagonal; on the finest grid, jacobi_batch returns the same bits.
+    # At zero shift chi is diagonal, so its eigenvalues are its diagonal
+    # entries; on the finest grid, jacobi_batch returns them with the same bits.
     axis = np.linspace(-1.0, 1.0, round(2.0 / verify.MIN_GRID_STEP) + 1)
     for start in range(0, axis.size, 200):  # 200 rows of the grid at a time
         d00, d01, d02, d11, d12, d22 = entries = chi_matrix(axis[start : start + 200, None], axis[None, :])
         assert d01 == d02 == d12 == 0.0
         diagonal = np.stack(np.broadcast_arrays(d00, d11, d22))
         assert np.array_equal(jacobi_batch(*entries).view(np.int64), diagonal.view(np.int64))
+
+
+def q2_off_by_005(lam1, lam2):
+    q0, q1, q2 = q_values(lam1, lam2)
+    return q0, q1, q2 + 0.05
+
+
+def chi_q2_off_by_005(lam1, lam2, w1=0.0, w2=0.0):
+    d00, d01, d02, d11, d12, d22 = chi_matrix(lam1, lam2, w1, w2)
+    return d00, d01, d02, d11, d12, d22 + 0.05
+
+
+def test_a_q_error_in_both_chi_and_the_closed_form_fails_the_unital_grid(monkeypatch):
+    # chi's diagonal and the q-values are written out alike, so an error
+    # copied into both agrees with itself; the pentagon, built from its
+    # vertices alone, does not move.
+    assert unital_grid_sweep(0.01) == (40401, 0)
+    monkeypatch.setattr(cp, "q_values", q2_off_by_005)
+    monkeypatch.setattr(cp, "chi_matrix", chi_q2_off_by_005)
+    monkeypatch.setattr(verify, "chi_matrix", chi_q2_off_by_005)
+    assert unital_grid_sweep(0.01)[1] > 0
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 7, 25])
@@ -132,20 +154,29 @@ def test_run_verify_report_does_not_depend_on_the_bounds(monkeypatch, seed):
     assert report == other
 
 
+def traced_peak(sweep, *args):
+    """The tracemalloc peak, in bytes, of one call of ``sweep(*args)``."""
+    tracemalloc.start()
+    try:
+        sweep(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_random_sweep_memory_stays_flat_in_its_size():
     # The held points go to the oracle once CHUNK of them are held, so ten
     # times the points do not hold more at once.
     random_sweep(10_000, 1)  # numpy's first-call allocations, outside the measure
+    assert traced_peak(random_sweep, 10**6, 1) <= 1.25 * traced_peak(random_sweep, 10**5, 1)
 
-    def peak(samples):
-        tracemalloc.start()
-        try:
-            random_sweep(samples, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(10**6) <= 1.25 * peak(10**5)
+def test_unital_grid_sweep_memory_stays_flat_in_its_size():
+    # The grid's points are formed CHUNK at a time, so the finest grid, 99
+    # times the points of the default one, holds no more at once.
+    unital_grid_sweep(0.01)  # numpy's first-call allocations, outside the measure
+    fine = traced_peak(unital_grid_sweep, verify.MIN_GRID_STEP)
+    assert fine <= 1.25 * traced_peak(unital_grid_sweep, 0.01)
 
 
 CHI_CORNERS = [
