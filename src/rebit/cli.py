@@ -137,32 +137,38 @@ _COMMANDS = {  # name: (function, help, (flags, add_argument options) of each ar
 def build_parser(command=None) -> argparse.ArgumentParser:
     """A new parser on every call; only the help width is shared.
 
-    Given a command name, the parser holds that command's subparser alone and
-    parses any argv that starts with that name as the full parser does: the
-    choice list all commands would give stands in the usage, so a usage error
-    prints the full parser's text.
+    Given a command name, the parser is that command's own: the subparser the
+    full parser hands the rest of an argv starting with that name, built alone,
+    so it parses, helps and errs as the full parser does for that argv.
     """
     formatter = functools.partial(argparse.HelpFormatter, width=_help_width())  # subparsers do not inherit it
-    parser = argparse.ArgumentParser(
-        prog="rebit",
-        formatter_class=formatter,
-        description="Classify rebit channels: positivity checks, canonical "
-        "factorization, taxonomy and Bloch-disk figures.",
-    )
-    choices = None if command is None else "{" + ",".join(_COMMANDS) + "}"  # a metavar would rename the full parser's errors
-    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
-    for name, (func, text, arguments) in _COMMANDS.items():
-        if command in (None, name):
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="rebit",
+            formatter_class=formatter,
+            description="Classify rebit channels: positivity checks, canonical "
+            "factorization, taxonomy and Bloch-disk figures.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+    table = _COMMANDS if command is None else {command: _COMMANDS[command]}
+    for name, (func, text, arguments) in table.items():
+        if command is None:
             p = sub.add_parser(name, help=text, formatter_class=formatter)
-            p.set_defaults(func=func)
-            for flags, options in arguments:
-                p.add_argument(*flags, **options)
+        else:
+            parser = p = argparse.ArgumentParser(prog=f"rebit {name}", formatter_class=formatter)
+        p.set_defaults(func=func, command=name)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the subparser of a command that comes first."""
-    return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    """``build_parser().parse_args(argv)``: a command's own parser parses what follows it, if it leaves nothing over."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

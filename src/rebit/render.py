@@ -16,7 +16,8 @@ VIEW = 512
 CX = CY = VIEW // 2
 DISK_R = 200.0
 # Semi-axis at or below which the image is drawn as a segment (a point, when both are): CP_TOL's size,
-# 2e-7 px at DISK_R; chosen, not derived; no test binds it (the tests' rank-one image has an exact 0).
+# 2e-7 px at DISK_R; chosen, not derived; bound by test_a_minor_semi_axis_of_1e_12_draws_a_segment (at 0)
+# and test_a_minor_semi_axis_of_1e_7_draws_an_ellipse (at x1000).
 DEGENERATE_AXIS = 1e-9
 
 _STYLE = """\

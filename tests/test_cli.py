@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -266,7 +267,7 @@ def parse_outcome(parse, argv):
 
 
 def test_one_command_parser_parses_as_the_full_parser():
-    # the parser built for argv[0] alone is invisible: its choice list prints the usage the full parser does
+    # the parser built for argv[0] alone is invisible: it is the full parser's subparser, and what it leaves over goes there
     outcomes = []
     for argv in argv_corpus():
         outcome = parse_outcome(cli.parse_args, argv)
@@ -286,6 +287,23 @@ def test_one_command_parser_prints_as_the_full_parser_at_any_width(monkeypatch, 
             outcome = parse_outcome(cli.parse_args, argv)
             if outcome[0] == "exit":
                 assert outcome == parse_outcome(full.parse_args, argv), argv
+    finally:
+        cli._help_width.cache_clear()
+
+
+@pytest.mark.parametrize("columns", ["48", "80", "148"])
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_a_command_parser_is_the_full_parsers_subparser(monkeypatch, name, columns):
+    # parse_args hands argv[1:] to build_parser(name) where the full parser hands it to its subparser
+    monkeypatch.setenv("COLUMNS", columns)
+    cli._help_width.cache_clear()
+    try:
+        own = cli.build_parser(name)
+        (sub,) = (action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+        full = sub.choices[name]
+        assert own.prog == full.prog == f"rebit {name}"
+        assert own.format_usage() == full.format_usage()
+        assert own.format_help() == full.format_help()
     finally:
         cli._help_width.cache_clear()
 
